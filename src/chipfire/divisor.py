@@ -6,19 +6,18 @@ the script moves chips along every edge according to the level difference
 of its endpoints, which realises the graph Laplacian.  Two divisors are
 linearly equivalent when their difference is such a script image.
 
-Everything here is exact: equivalence is decided by rational elimination on
-the reduced Laplacian followed by an integrality check, deliberately
-independent of the Dhar machinery in :mod:`chipfire.reduction` so the two
-can cross-check each other.
+Everything here is exact: equivalence is decided by fraction-free integer
+elimination on the reduced Laplacian followed by a divisibility check,
+deliberately independent of the Dhar machinery in
+:mod:`chipfire.reduction` so the two can cross-check each other.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import DomainError, GraphError, InternalError
+from .errors import DomainError, InternalError
 from .graph import Graph, HatEmbedding
 
 Values = Union[Mapping[str, int], Sequence[int]]
@@ -186,36 +185,39 @@ def fire_set(graph: Graph, vertices: Iterable[str]) -> Divisor:
     return Divisor(graph, _laplacian_image(graph, indicator))
 
 
-def _reduced_inverse(graph: Graph):
-    """Exact inverse of the Laplacian with the last vertex's row and column
-    deleted; invertible precisely because the graph is connected.  Cached on
-    the graph.  Entries are Fractions with denominator dividing the number
-    of spanning trees."""
-    cached = graph._lap_inverse
-    if cached is not None:
-        return cached
-    graph.require_connected("principal-divisor solving")
+def _solve_reduced(graph: Graph, rhs: Sequence[int]) -> tuple[list[int], int]:
+    """Solve the Laplacian system with the last vertex's row and column
+    deleted, exactly and without fractions: returns ``(nums, det)`` with
+    ``nums[i] / det`` the solution and ``det`` the number of spanning trees.
+    ``rhs`` is indexed by vertex; its last entry is never read.
+
+    Fraction-free (Bareiss) elimination on the negated reduced Laplacian,
+    which is positive definite on a connected graph, so no pivot is ever
+    zero: each step divides exactly by the previous pivot, the last pivot
+    is the determinant, and back-substitution stays in the integers because
+    ``det`` times the solution is integral (Cramer's rule).
+    """
     m = graph.vertex_count - 1
     lap = graph.laplacian()
-    work = [
-        [Fraction(lap[i][j]) for j in range(m)]
-        + [Fraction(1 if j == i else 0) for j in range(m)]
-        for i in range(m)
-    ]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if work[r][col]), None)
-        if pivot is None:
+    rows = [[-x for x in lap[i][:m]] + [-rhs[i]] for i in range(m)]
+    prev = 1
+    for k in range(m):
+        top = rows[k]
+        pivot = top[k]
+        if pivot == 0:
             raise InternalError("reduced Laplacian is singular on a connected graph")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(m):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    inverse = tuple(tuple(row[m:]) for row in work)
-    graph._lap_inverse = inverse
-    return inverse
+        for i in range(k + 1, m):
+            row = rows[i]
+            f = row[k]
+            row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
+    det = prev
+    nums = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = rows[i]
+        acc = det * row[m] - sum(row[j] * nums[j] for j in range(i + 1, m))
+        nums[i] = acc // row[i]
+    return nums, det
 
 
 def principal_script(divisor: Divisor) -> Optional[FiringScript]:
@@ -223,25 +225,17 @@ def principal_script(divisor: Divisor) -> Optional[FiringScript]:
     divisor, or None when the divisor is not principal.
 
     Solves the reduced system obtained by deleting the last vertex, extends
-    by zero, and accepts exactly when the rational solution is integral.
+    by zero, and accepts exactly when the solution is integral: every
+    numerator divisible by the determinant.
     """
     graph = divisor.graph
     graph.require_connected("principal_script")
     if divisor.degree != 0:
         return None
-    n = graph.vertex_count
-    if n == 1:
-        return FiringScript(graph, (0,))
-    inverse = _reduced_inverse(graph)
-    rhs = divisor.values[: n - 1]
-    levels = []
-    for row in inverse:
-        x = sum(c * r for c, r in zip(row, rhs) if r)
-        if x.denominator != 1:
-            return None
-        levels.append(int(x))
-    levels.append(0)
-    script = FiringScript(graph, levels).normalized()
+    nums, det = _solve_reduced(graph, divisor.values)
+    if any(x % det for x in nums):
+        return None
+    script = FiringScript(graph, [x // det for x in nums] + [0]).normalized()
     if _laplacian_image(graph, script.levels) != list(divisor.values):
         raise InternalError("principal-divisor solve failed verification")
     return script

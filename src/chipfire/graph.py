@@ -41,7 +41,6 @@ class Graph:
         "_adj_items",
         "_connected",
         "_hash",
-        "_lap_inverse",
         "_edge_count",
     )
 
@@ -99,7 +98,6 @@ class Graph:
         self._adj_items = tuple(tuple(sorted(row.items())) for row in adj)
         self._connected: bool | None = None
         self._hash: int | None = None
-        self._lap_inverse = None  # filled lazily by divisor.principal_script machinery
         self._edge_count = sum(sum(row.values()) for row in adj) // 2 + sum(loops)
 
     # -- basic structure ------------------------------------------------

@@ -10,14 +10,13 @@ truncation.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .divisor import (
     Divisor,
-    _reduced_inverse,
+    _solve_reduced,
     fire_set,
     iter_effective_values,
 )
@@ -30,17 +29,11 @@ BRUTE_REDUCED_MAX_VERTICES = 12
 
 
 def _class_signature(graph: Graph, values: list[int]):
-    """Fractional part of the reduced-Laplacian solve; two divisors of equal
-    degree are linearly equivalent exactly when their signatures agree."""
-    if graph.vertex_count == 1:
-        return ()
-    inverse = _reduced_inverse(graph)
-    rhs = values[:-1]
-    parts = []
-    for row in inverse:
-        total = sum(c * r for c, r in zip(row, rhs) if r)
-        parts.append(total - math.floor(total))
-    return tuple(parts)
+    """Residues of the fraction-free reduced-Laplacian solve modulo its
+    determinant; two divisors of equal degree are linearly equivalent
+    exactly when their signatures agree."""
+    nums, det = _solve_reduced(graph, values)
+    return tuple(x % det for x in nums)
 
 
 def brute_rank(divisor: Divisor) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .divisor import (
     Divisor,
@@ -171,6 +171,22 @@ def rank_geq(
     return False, Divisor(graph, failing)
 
 
+def _iter_rank_explicit(divisor: Divisor) -> Iterator[str]:
+    graph = divisor.graph
+    graph.require_connected("rank_explicit_vertices")
+    if divisor.is_effective:
+        floor_value = rank_lower_bound(divisor)
+        capacity = rank_capacity(divisor).values
+        for i, v in enumerate(graph.vertex_ids):
+            if capacity[i] == floor_value and is_reduced(divisor, v):
+                yield v
+        return
+    first = graph.vertex_ids[0]
+    reduced, _ = reduce_divisor(divisor, first)
+    if reduced.values[0] < 0:
+        yield first
+
+
 def rank_explicit_vertices(divisor: Divisor) -> tuple[str, ...]:
     """All vertices certifying the divisor as rank-explicit.
 
@@ -179,26 +195,13 @@ def rank_explicit_vertices(divisor: Divisor) -> tuple[str, ...]:
     minimum.  A non-effective divisor qualifies only through the rank -1
     test: the base-reduced representative being negative at the base.
     """
-    graph = divisor.graph
-    graph.require_connected("rank_explicit_vertices")
-    if divisor.is_effective:
-        floor_value = rank_lower_bound(divisor)
-        capacity = rank_capacity(divisor).values
-        return tuple(
-            v
-            for i, v in enumerate(graph.vertex_ids)
-            if capacity[i] == floor_value and is_reduced(divisor, v)
-        )
-    first = graph.vertex_ids[0]
-    reduced, _ = reduce_divisor(divisor, first)
-    return (first,) if reduced.values[0] < 0 else ()
+    return tuple(_iter_rank_explicit(divisor))
 
 
 def rank_explicit_vertex(divisor: Divisor) -> Optional[str]:
     """The first vertex (declaration order) certifying rank-explicitness,
-    or None."""
-    vertices = rank_explicit_vertices(divisor)
-    return vertices[0] if vertices else None
+    or None; stops at the first qualifying vertex."""
+    return next(_iter_rank_explicit(divisor), None)
 
 
 def rank_lower_bound_certified(
@@ -286,20 +289,17 @@ def clifford_check(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> bool:
     return value <= degree // 2
 
 
-def _binary_graph(genus: int) -> Graph:
-    return Graph([("v1", 0), ("v2", 0)], [("v1", "v2", genus + 1)])
-
-
-def binary_rank(genus: int, a: int, b: int, *, budget: int = DEFAULT_BUDGET) -> int:
+def binary_rank(genus: int, a: int, b: int) -> int:
     """Closed-form rank of the class of (a, b) on two vertices joined by
     genus + 1 parallel edges.
 
     Representatives shift by multiples of genus + 1 between the two
     coordinates.  With an effective representative normalized to
     0 <= a <= b, the rank is a when b <= genus and a + b - genus when
-    b >= genus + 1; with no effective representative it is -1.  If the two
-    case values ever disagreed across representatives the general engine
-    would decide, but consistency is forced by Riemann-Roch.
+    b >= genus + 1; with no effective representative it is -1.  The case
+    value is unique: a representative with both entries at most genus is
+    the only effective one (any shift makes an entry negative), and every
+    other effective representative gives degree - genus.
     """
     if genus < 0:
         raise DomainError("binary_rank needs genus >= 0")
@@ -317,9 +317,9 @@ def binary_rank(genus: int, a: int, b: int, *, budget: int = DEFAULT_BUDGET) -> 
         values.add(lo if hi <= genus else lo + hi - genus)
     if not values:
         return -1
-    if len(values) == 1:
-        return values.pop()
-    return rank(Divisor(_binary_graph(genus), (a, b)), budget=budget).rank
+    if len(values) > 1:
+        raise InternalError(f"binary_rank case values disagree across representatives: {values}")
+    return values.pop()
 
 
 def g0_comparison(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DisconnectedError, DomainError, InternalError
+from .errors import DomainError, InternalError
 from .divisor import Divisor, FiringScript
 from .graph import Graph
 
@@ -233,30 +233,28 @@ def saturate(divisor: Divisor, base: str) -> tuple[Graph, int]:
     """Add edges at the base until the divisor becomes base-reduced.
 
     Uses the deterministic recipe: for every unburned vertex w of the burn
-    from the base, add d(w) parallel edges between w and the base, and
-    repeat until the burn consumes everything (one round suffices on a
-    connected graph).  Returns the saturated graph and the number of added
-    edges counted with multiplicity.  Minimal saturations are not sought.
+    from the base, add d(w) parallel edges between w and the base.  One
+    round suffices on a connected graph: each such w then holds no more
+    chips than its edges to the base, so it burns as soon as any other
+    neighbour does, and the fire spreads from the old burned region to
+    every vertex; a verification burn asserts it.
+    Returns the saturated graph and the number of added edges counted
+    with multiplicity.  Minimal saturations are not sought.
     """
     graph = divisor.graph
     u = _checked_base(divisor, base, "saturate")
     for v, x in zip(graph.vertex_ids, divisor.values):
         if x < 0 and v != base:
             raise DomainError(f"divisor is negative at {v!r}; only the base may be negative")
-    current = graph
-    added = 0
-    for _ in range(graph.vertex_count + 1):
-        unburned = _burn(current, list(divisor.values), u)
-        if not unburned:
-            return current, added
-        extra = []
-        for v in unburned:
-            mult = divisor.values[v]
-            if mult > 0:
-                extra.append((base, graph.vertex_ids[v], mult))
-                added += mult
-        current = current.with_extra_edges(extra)
-    raise InternalError("saturation recipe failed to converge")
+    extra = [
+        (base, graph.vertex_ids[v], divisor.values[v])
+        for v in _burn(graph, list(divisor.values), u)
+        if divisor.values[v] > 0
+    ]
+    saturated = graph.with_extra_edges(extra) if extra else graph
+    if _burn(saturated, list(divisor.values), u):
+        raise InternalError("saturation recipe left vertices unburned")
+    return saturated, sum(mult for _, _, mult in extra)
 
 
 def is_saturation(original: Graph, candidate: Graph, divisor: Divisor, base: str) -> bool:

@@ -212,3 +212,21 @@ def test_criterion_8_oracle_agreement():
             shifted = divisor + cf.apply_script(shift)
             assert cf.reduce_divisor(shifted, base)[0] == reduced
             stability_checks += 1
+
+
+def test_grid_equivalence_exact_solve():
+    with _Timer("grid-10x10", 2.0):
+        side = 10
+        ids = [f"v{i}_{j}" for i in range(side) for j in range(side)]
+        edges = [(f"v{i}_{j}", f"v{i + 1}_{j}") for i in range(side - 1) for j in range(side)]
+        edges += [(f"v{i}_{j}", f"v{i}_{j + 1}") for i in range(side) for j in range(side - 1)]
+        g = cf.Graph(ids, edges)
+        rng = random.Random(10)
+        base = cf.Divisor(g, [rng.randint(-3, 5) for _ in ids])
+        script = cf.FiringScript(g, [rng.randint(0, 6) for _ in ids])
+        moved = base + cf.apply_script(script)
+        assert cf.equivalence_script(moved, base) == script.normalized()
+        # the grid is 2-edge-connected, so no two distinct points are equivalent
+        corner_gap = cf.Divisor(g, {"v0_0": 1, f"v{side - 1}_{side - 1}": -1})
+        assert cf.principal_script(corner_gap) is None
+        assert not cf.equivalent(cf.Divisor(g, {"v0_0": 1}), cf.Divisor(g, {"v0_1": 1}))

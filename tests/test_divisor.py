@@ -127,6 +127,23 @@ def test_principal_script_requires_connected():
         cf.principal_script(cf.Divisor(g, (0, 0)))
 
 
+def test_solver_determinant_counts_spanning_trees():
+    # matrix-tree theorem: the fraction-free solve's determinant is tau(G)
+    from chipfire.divisor import _solve_reduced
+
+    cycle = cf.Graph([f"c{i}" for i in range(7)], [(f"c{i}", f"c{(i + 1) % 7}") for i in range(7)])
+    k5 = cf.Graph([f"k{i}" for i in range(5)], [(f"k{i}", f"k{j}") for i in range(5) for j in range(i)])
+    grid = cf.Graph(
+        [f"g{i}{j}" for i in range(3) for j in range(3)],
+        [(f"g{i}{j}", f"g{i + 1}{j}") for i in range(2) for j in range(3)]
+        + [(f"g{i}{j}", f"g{i}{j + 1}") for i in range(3) for j in range(2)],
+    )
+    for graph, tau in ((cycle, 7), (k5, 125), (grid, 192), (binary_graph(3), 4), (cf.Graph(["v"]), 1)):
+        nums, det = _solve_reduced(graph, [0] * graph.vertex_count)
+        assert det == tau
+        assert nums == [0] * (graph.vertex_count - 1)
+
+
 # -- layer decomposition ------------------------------------------------------
 
 

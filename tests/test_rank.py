@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 import chipfire as cf
@@ -109,6 +111,27 @@ def test_rank_explicit_weighted_binary(weighted_binary):
     d = weighted_binary.divisors["example"]
     assert cf.rank_explicit_vertex(d) == "v1"
     assert cf.rank_explicit_vertices(d) == ("v1", "v2")
+
+
+def test_rank_explicit_vertex_stops_at_first_hit(monkeypatch):
+    # the zero divisor on a path is reduced at every vertex, so every vertex
+    # qualifies; the first one must be found with a single burn
+    n = 40
+    g = cf.Graph([f"p{i}" for i in range(n)], [(f"p{i}", f"p{i + 1}") for i in range(n - 1)])
+    calls = []
+
+    def counting(divisor, base):
+        calls.append(base)
+        return cf.is_reduced(divisor, base)
+
+    # the package re-exports the rank() function under the module's name
+    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "is_reduced", counting)
+    zero = cf.Divisor(g)
+    assert cf.rank_explicit_vertex(zero) == "p0"
+    assert calls == ["p0"]
+    calls.clear()
+    assert cf.rank_explicit_vertices(zero) == g.vertex_ids
+    assert len(calls) == n
 
 
 def test_rank_explicit_absent_for_binary_genus_one_class():
@@ -264,10 +287,12 @@ def test_binary_rank_trees():
 
 
 def test_binary_rank_agrees_with_shifted_representatives():
-    for genus in range(5):
+    # binary_rank also raises InternalError if two effective representatives
+    # of one class ever gave different case values
+    for genus in range(10):
         period = genus + 1
-        for a in range(-3, 6):
-            for b in range(-3, 6):
+        for a in range(-25, 26):
+            for b in range(-25, 26):
                 value = cf.binary_rank(genus, a, b)
                 assert value == cf.binary_rank(genus, a - period, b + period)
                 assert value == cf.binary_rank(genus, b, a)  # swap symmetry
