@@ -48,61 +48,81 @@ def _dhar_indices(
     """Run the burning game from ``base``; loops and weights play no part.
 
     Returns the layers (day 0 is the base alone) and the unburned vertices,
-    all as index tuples.  ``values`` is read, never written.
+    all as ascending index tuples.  ``values`` is read, never written, and
+    must be non-negative off the base.  A vertex burns once its chips fall
+    short of its edges into the burned region, and that edge count grows
+    only when a neighbour burns; so day j+1 is found among the neighbours
+    of day j alone, and each edge is looked at once from each end that
+    burns (Dhar 1990).
     """
-    n = graph.vertex_count
     adj_items = graph._adj_items
-    burned = [False] * n
-    burned[base] = True
-    mass = [0] * n  # edges from each vertex into the burned region
-    for w, mult in adj_items[base]:
-        mass[w] += mult
-    layers: list[tuple[int, ...]] = [(base,)]
-    remaining = n - 1
-    while remaining:
-        newly = [v for v in range(n) if not burned[v] and values[v] < mass[v]]
-        if not newly:
-            break
-        for v in newly:
-            burned[v] = True
+    room = list(values)  # chips minus edges into the burned region
+    room[base] = -1
+    layers: list[tuple[int, ...]] = []
+    day = [base]
+    while day:
+        layers.append(tuple(day))
+        nxt = []
+        for v in day:
             for w, mult in adj_items[v]:
-                mass[w] += mult
-        layers.append(tuple(newly))
-        remaining -= len(newly)
-    unburned = tuple(v for v in range(n) if not burned[v])
-    return layers, unburned
+                r = room[w]
+                if r >= 0:
+                    r -= mult
+                    room[w] = r
+                    if r < 0:  # burns on the next day
+                        nxt.append(w)
+        day = sorted(nxt)
+    return layers, tuple(v for v, r in enumerate(room) if r >= 0)
 
 
 def _burn(graph: Graph, values: list[int], base: int) -> tuple[int, ...]:
-    """The unburned remainder of the game, without layer bookkeeping."""
+    """The unburned remainder of the game, without layer bookkeeping: the
+    same fire, on the same ``values``, spread from a worklist instead of
+    day by day."""
     adj_items = graph._adj_items
-    mass = [0] * graph.vertex_count
-    for w, mult in adj_items[base]:
-        mass[w] += mult
-    alive = [v for v in range(graph.vertex_count) if v != base]
-    while alive:
-        newly = [v for v in alive if values[v] < mass[v]]
-        if not newly:
-            break
-        if len(newly) == len(alive):
-            return ()
-        survivors = [v for v in alive if values[v] >= mass[v]]
-        for v in newly:
-            for w, mult in adj_items[v]:
-                mass[w] += mult
-        alive = survivors
-    return tuple(alive)
+    room = list(values)
+    room[base] = -1
+    stack = [base]
+    left = len(room) - 1
+    while stack:
+        for w, mult in adj_items[stack.pop()]:
+            r = room[w]
+            if r >= 0:
+                r -= mult
+                room[w] = r
+                if r < 0:
+                    stack.append(w)
+                    left -= 1
+    if not left:
+        return ()
+    return tuple(v for v, r in enumerate(room) if r >= 0)
 
 
-def _fire_indices(graph: Graph, values: list[int], members: tuple[int, ...], times: int = 1) -> None:
-    """Fire a vertex set in place: each member sends ``times`` chips along
-    every edge leaving the set."""
+def _fire_indices(graph: Graph, values: list[int], members: tuple[int, ...]) -> int:
+    """Fire a vertex set in place as many times as every member can afford.
+
+    Each firing sends one chip along every edge leaving the set, so member v
+    loses ``out(v)`` chips per firing; the set fires
+    ``t = min(values[v] // out(v))`` times over the members with
+    ``out(v) > 0``, which leaves every member non-negative.  Returns ``t``.
+    Needs at least one edge leaving the set.
+    """
     inside = set(members)
+    outs: list[int] = []
+    crossing: list[tuple[int, int]] = []
     for v in members:
+        out = 0
         for w, mult in graph._adj_items[v]:
             if w not in inside:
-                values[v] -= mult * times
-                values[w] += mult * times
+                out += mult
+                crossing.append((w, mult))
+        outs.append(out)
+    times = min(values[v] // out for v, out in zip(members, outs) if out)
+    for v, out in zip(members, outs):
+        values[v] -= out * times
+    for w, mult in crossing:
+        values[w] += mult * times
+    return times
 
 
 def _reduce_indices(
@@ -113,10 +133,28 @@ def _reduce_indices(
     Phase 1 clears negativity away from the base by firing BFS-ball
     prefixes: firing all vertices within distance i-1 raises every vertex
     at distance i by its edge count to the previous shell (at least 1) and
-    cannot touch deeper shells, so one bottom-up pass suffices.  Phase 2
-    repeatedly fires the unburned set of the Dhar game until it is empty;
-    surviving the burn means a vertex keeps at least as many chips as it
-    sends out, so effectivity off the base is preserved.
+    cannot touch deeper shells, so one bottom-up pass suffices.
+
+    Phase 2 repeatedly burns from the base and fires the unburned set U as
+    many times as every member can afford, ``t = min(d(v) // out(v))`` over
+    the members with ``out(v) > 0``, where ``out(v)`` counts the edges from
+    v leaving U (Baker-Shokrieh, arXiv:1107.1313).  Surviving the burn
+    means ``d(v) >= out(v)``, so ``t >= 1``, and after t firings every
+    member still holds ``d(v) - t * out(v) >= 0``: effectivity off the base
+    is preserved.  A lone pile on a cycle or a complete graph then moves in
+    a few rounds, but the poorest member sets t, so several piles, or one
+    on a grid, can still need rounds in proportion to their chips.
+
+    Step guard.  Let D be the divisor when phase 2 starts, S its chips off
+    the base and L the phase-2 firing script.  The base never fires, so
+    L(base) = 0;
+    the reduced divisor R is unique and the Laplacian's kernel is the
+    constants, so L is fixed: off the base, L = G (D - R) with G the inverse
+    of the reduced Laplacian.  G is non-negative and G(v, w) <= G(w, w),
+    the effective resistance from w to the base, which is at most the
+    n - 1 edges of a path; with R >= 0 this gives L(v) <= (n - 1) S.  Every
+    round raises the level of each fired vertex by t >= 1, so the rounds
+    number at most sum(L) <= (n - 1)^2 S; more means a broken kernel.
 
     Returns the reduced values and the accumulated firing levels (not yet
     normalized).  Mutates and returns ``values``.
@@ -126,9 +164,6 @@ def _reduce_indices(
     if n == 1:
         return values, levels
     adj_items = graph._adj_items
-
-    guard_scale = abs(sum(values)) + 2 * graph.edge_count + sum(map(abs, values))
-    guard = n * guard_scale * guard_scale + 16
 
     needs_clearing = False
     for v in range(n):
@@ -167,17 +202,18 @@ def _reduce_indices(
                 for v in shell:
                     levels[v] += need
 
+    guard = (n - 1) ** 2 * (sum(values) - values[base])
     rounds = 0
     while True:
         unburned = _burn(graph, values, base)
         if not unburned:
             break
         rounds += 1
-        if rounds > guard:
+        times = _fire_indices(graph, values, unburned)
+        if times < 1 or rounds > guard:
             raise InternalError("reduction did not terminate within its step guard")
-        _fire_indices(graph, values, unburned)
         for v in unburned:
-            levels[v] += 1
+            levels[v] += times
     return values, levels
 
 

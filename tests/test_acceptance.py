@@ -230,3 +230,23 @@ def test_grid_equivalence_exact_solve():
         corner_gap = cf.Divisor(g, {"v0_0": 1, f"v{side - 1}_{side - 1}": -1})
         assert cf.principal_script(corner_gap) is None
         assert not cf.equivalent(cf.Divisor(g, {"v0_0": 1}), cf.Divisor(g, {"v0_1": 1}))
+
+
+def _check_reduction(divisor, base):
+    reduced, script = cf.reduce_divisor(divisor, base)
+    assert cf.is_reduced(reduced, base)
+    assert divisor + cf.apply_script(script) == reduced
+
+
+def test_reduce_cycle_time_independent_of_chip_count():
+    with _Timer("C30 with 10^5 chips", 1.0):
+        ids = [f"v{i}" for i in range(30)]
+        cycle = cf.Graph(ids, [(ids[i], ids[(i + 1) % 30]) for i in range(30)])
+        _check_reduction(cf.Divisor(cycle, {"v7": 10**5}), "v0")
+
+
+def test_reduce_complete_graph_time_independent_of_chip_count():
+    with _Timer("K6 with 10^6 chips", 0.25):
+        ids = [f"v{i}" for i in range(6)]
+        k6 = cf.Graph(ids, [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]])
+        _check_reduction(cf.Divisor(k6, {"v3": 10**6}), "v0")

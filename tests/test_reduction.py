@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chipfire as cf
+import chipfire.reduction
+from chipfire.reduction import _burn, _dhar_indices, _fire_indices
 from conftest import binary_graph, connected_graphs, graph_with_divisor, seeded_instances
 
 
@@ -78,10 +82,23 @@ def test_reduced_stays_reduced_after_removing_chips_at_base(dhar5):
         assert cf.is_reduced(shifted, "v0")
 
 
+def _sparse_piles(rng, graph, divisor, base):
+    """The divisor made effective off the base, with about half of those
+    vertices emptied so that fires still spread between large piles."""
+    return cf.Divisor(graph, [
+        x if v == base else 0 if rng.random() < 0.5 else abs(x)
+        for v, x in zip(graph.vertex_ids, divisor.values)
+    ])
+
+
 def test_is_reduced_matches_subset_oracle():
     for _, graph, divisor in seeded_instances(101, 150, max_vertices=5, max_edges=8):
         for base in graph.vertex_ids:
             assert cf.is_reduced(divisor, base) == cf.brute_is_reduced(divisor, base)
+    for rng, graph, divisor in seeded_instances(102, 40, max_vertices=8, max_edges=14, max_value=500):
+        for base in graph.vertex_ids:
+            piles = _sparse_piles(rng, graph, divisor, base)
+            assert cf.is_reduced(piles, base) == cf.brute_is_reduced(piles, base)
 
 
 def test_reducedness_preserved_by_supergraphs():
@@ -105,21 +122,33 @@ def test_dhar_layer_characterization():
         effective_off = cf.Divisor(
             graph, [abs(x) if v != base else x for v, x in zip(graph.vertex_ids, divisor.values)]
         )
-        dec = cf.dhar(effective_off, base)
-        burned: set[str] = set()
-        for j, layer in enumerate(dec.layers):
-            assert layer, "layers are nonempty until termination"
-            if j == 0:
-                assert layer == frozenset({base})
-            else:
-                for v in graph.vertex_ids:
-                    should_burn = v not in burned and effective_off[v] < graph.intersection(
-                        {v}, burned
-                    )
-                    assert (v in layer) == should_burn
-            burned |= layer
-        for v in dec.unburned:
-            assert effective_off[v] >= graph.intersection({v}, burned)
+        _check_dhar_layers(graph, effective_off, base)
+    for rng, graph, divisor in seeded_instances(56, 60, max_vertices=8, max_edges=14, max_value=500):
+        base = graph.vertex_ids[rng.randrange(graph.vertex_count)]
+        _check_dhar_layers(graph, _sparse_piles(rng, graph, divisor, base), base)
+
+
+def _check_dhar_layers(graph, effective_off, base):
+    dec = cf.dhar(effective_off, base)
+    u = graph.index(base)
+    layers, unburned = _dhar_indices(graph, list(effective_off.values), u)
+    assert _burn(graph, list(effective_off.values), u) == unburned
+    assert dec.unburned == frozenset(graph.vertex_ids[v] for v in unburned)
+    assert all(list(layer) == sorted(layer) for layer in layers)
+    burned: set[str] = set()
+    for j, layer in enumerate(dec.layers):
+        assert layer, "layers are nonempty until termination"
+        if j == 0:
+            assert layer == frozenset({base})
+        else:
+            for v in graph.vertex_ids:
+                should_burn = v not in burned and effective_off[v] < graph.intersection(
+                    {v}, burned
+                )
+                assert (v in layer) == should_burn
+        burned |= layer
+    for v in dec.unburned:
+        assert effective_off[v] >= graph.intersection({v}, burned)
 
 
 # -- reduce -------------------------------------------------------------------
@@ -172,17 +201,30 @@ def test_reduce_rejects_disconnected():
         cf.reduce_divisor(cf.Divisor(g), "a")
 
 
-def test_reduce_is_class_stable():
-    for rng, graph, divisor in seeded_instances(42, 120, max_vertices=6, max_edges=9):
+def test_reduce_is_class_stable(monkeypatch):
+    firings = []
+
+    def recording_fire(graph, values, members):
+        firings.append(_fire_indices(graph, values, members))
+        return firings[-1]
+
+    monkeypatch.setattr(chipfire.reduction, "_fire_indices", recording_fire)
+    small = seeded_instances(42, 120, max_vertices=6, max_edges=9)
+    large = seeded_instances(43, 60, max_vertices=8, max_edges=14, max_value=500)
+    for rng, graph, divisor in itertools.chain(small, large):
         base = graph.vertex_ids[rng.randrange(graph.vertex_count)]
         reduced, script = cf.reduce_divisor(divisor, base)
         assert cf.is_reduced(reduced, base)
+        # certified without the burning code: the subset test and the exact solver
+        assert cf.brute_is_reduced(reduced, base)
+        assert cf.equivalent(divisor, reduced)
         assert divisor + cf.apply_script(script) == reduced
         shift = cf.FiringScript(
             graph, [rng.randint(0, 2) for _ in graph.vertex_ids]
         )
         shifted = divisor + cf.apply_script(shift)
         assert cf.reduce_divisor(shifted, base)[0] == reduced
+    assert min(firings) >= 1 and max(firings) > 1  # phase 2 fired in bulk
 
 
 # -- saturation ---------------------------------------------------------------
