@@ -9,11 +9,21 @@ to an effective divisor is decided by a single reduction at a fixed base
 vertex (the first declared vertex): a class contains an effective divisor
 exactly when its base-reduced representative is non-negative at the base.
 
-The exhaustive search is exponential, so it is guarded by a candidate
-budget and short-circuited by two exact fast paths: classes whose reduced
-representative is negative at the base have rank -1, and effective
-divisors reduced at a vertex of minimal rank capacity have rank equal to
-that minimum.
+The exhaustive search goes level by level: level k holds the classes of
+D - e for the effective e of degree k, and the rank is one less than the
+first level with a class that has no effective representative.  The
+class of D - e - v depends only on the class of D - e, so level k + 1 is
+the set of reductions of c - v over the classes c of level k and the
+vertices v, and no level has more classes than the graph has spanning
+trees.  A level is decided that way when expanding the previous level's
+classes costs less than enumerating the level's tuples.  Otherwise, and
+always at the failing level (so that the witness is the
+lexicographically smallest failing tuple), the tuples are enumerated.
+The search is exponential, so it is guarded by a budget on each level's
+candidate count, however the level is decided, and short-circuited by two
+exact fast paths: classes whose reduced representative is negative at the
+base have rank -1, and effective divisors reduced at a vertex of minimal
+rank capacity have rank equal to that minimum.
 """
 
 from __future__ import annotations
@@ -67,12 +77,9 @@ def _level_count(k: int, n: int) -> int:
     return math.comb(k + n - 1, n - 1)
 
 
-def _scan_level(
-    graph: Graph, base_reduced: list[int], k: int, budget: int
-) -> Optional[tuple[int, ...]]:
-    """First (lex order) effective degree-k tuple e for which the class of
-    the base-reduced values minus e has no effective representative."""
-    n = graph.vertex_count
+def _check_budget(k: int, n: int, budget: int) -> int:
+    """The candidate count of the degree-k level on n vertices; raises
+    BudgetError when it is over the budget."""
     count = _level_count(k, n)
     if count > budget:
         raise BudgetError(
@@ -80,26 +87,85 @@ def _scan_level(
             count=count,
             budget=budget,
         )
+    return count
+
+
+def _expand_classes(
+    graph: Graph, previous: set[tuple[int, ...]]
+) -> Optional[set[tuple[int, ...]]]:
+    """The base-reduced classes c - v for every class c in ``previous`` and
+    every vertex v, or None at the first one that is negative at the base.
+
+    c - v is already base-reduced when v is the base or c(v) > 0:
+    subtracting a chip where there is one keeps c effective off the base
+    and makes no set avoiding the base fireable."""
+    n = graph.vertex_count
+    children = set()
+    for c in previous:
+        for v in range(n):
+            child = list(c)
+            child[v] -= 1
+            if v and child[v] < 0:
+                child, _ = _reduce_indices(graph, child, 0)
+            if child[0] < 0:
+                return None
+            children.add(tuple(child))
+    return children
+
+
+def _scan_level(
+    graph: Graph,
+    base_reduced: list[int],
+    k: int,
+    budget: int,
+    previous: Optional[set[tuple[int, ...]]] = None,
+) -> tuple[Optional[tuple[int, ...]], Optional[set[tuple[int, ...]]]]:
+    """Decide the degree-k level: ``(failing, classes)``.
+
+    ``failing`` is the first (lex order) effective degree-k tuple e for
+    which the class of the base-reduced values minus e has no effective
+    representative, or None when there is none.  ``classes`` is the set of
+    the level's classes as base-reduced tuples when the level passes and
+    the set stayed small enough to be worth expanding, otherwise None.
+
+    ``previous`` is the classes of the degree-(k-1) level.  When expanding
+    them by every vertex costs less than enumerating the level, the level
+    is decided from them; at the first class that fails, the level is
+    enumerated instead, so ``failing`` is the same either way.  The budget
+    counts the level's candidates in both cases.
+    """
+    n = graph.vertex_count
+    count = _check_budget(k, n, budget)
     if sum(base_reduced) - k < 0:
         # every class at this level has negative degree, so every candidate
         # fails; the lex-smallest is all mass on the last vertex
-        return (0,) * (n - 1) + (k,)
+        return (0,) * (n - 1) + (k,), None
+    if previous is not None and len(previous) * n < count:
+        children = _expand_classes(graph, previous)
+        if children is not None:
+            return None, children
+    # past this many classes, expanding them costs more than enumerating
+    # the next level
+    limit = _level_count(k + 1, n) // n
+    classes: Optional[set[tuple[int, ...]]] = set()
     for e in iter_effective_values(k, n):
         vals = [a - b for a, b in zip(base_reduced, e)]
-        if min(vals) >= 0:
-            continue  # already effective, nothing to decide
-        reduced, _ = _reduce_indices(graph, vals, 0)
-        if reduced[0] < 0:
-            return e
-    return None
+        if min(vals) < 0:
+            vals, _ = _reduce_indices(graph, vals, 0)
+            if vals[0] < 0:
+                return e, None
+        # an effective vals is already base-reduced: subtracting e from a
+        # base-reduced divisor makes no set avoiding the base fireable
+        if classes is not None:
+            classes.add(tuple(vals))
+            if len(classes) > limit:
+                classes = None
+    return None, classes
 
 
-def _certified_witness(
-    graph: Graph, lifted_values: tuple[int, ...], base_reduced: list[int], value: int, budget: int
-) -> Divisor:
-    failing = _scan_level(graph, base_reduced, value + 1, budget)
-    if failing is None:
-        raise InternalError("no failing divisor found one degree above the computed rank")
+def _certify(graph: Graph, lifted_values: tuple[int, ...], failing: tuple[int, ...]) -> Divisor:
+    """The failing tuple as a divisor, after re-running its check from the
+    lifted values rather than their base-reduced representative."""
     check = [a - b for a, b in zip(lifted_values, failing)]
     reduced, _ = _reduce_indices(graph, check, 0)
     if reduced[0] >= 0:
@@ -107,13 +173,25 @@ def _certified_witness(
     return Divisor(graph, failing)
 
 
+def _certified_witness(
+    graph: Graph, lifted_values: tuple[int, ...], base_reduced: list[int], value: int, budget: int
+) -> Divisor:
+    failing, _ = _scan_level(graph, base_reduced, value + 1, budget)
+    if failing is None:
+        raise InternalError("no failing divisor found one degree above the computed rank")
+    return _certify(graph, lifted_values, failing)
+
+
 def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = False) -> RankResult:
     """The combinatorial rank of a divisor on any connected graph.
 
     With ``exhaustive=True`` the fast paths are skipped and the definition
-    is evaluated directly by incremental enumeration on the hat graph; the
-    value is identical either way.  Raises BudgetError when the enumeration
-    at some required degree exceeds ``budget`` candidates.
+    is evaluated directly on the hat graph, level by level: a level is
+    decided from the previous level's classes when that is cheaper than
+    enumerating its candidates, and the failing level is always enumerated
+    in lex order.  The value and witness are identical either way.  Raises
+    BudgetError when some required level has more than ``budget``
+    candidates, however it is decided.
     """
     graph = divisor.graph
     graph.require_connected("rank")
@@ -138,17 +216,12 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
             return RankResult(value, witness, METHOD_RANK_EXPLICIT)
 
     k = 0
+    classes = None
     while True:
-        failing = _scan_level(hat, base_reduced, k, budget)
-        if failing is None:
-            k += 1
-            continue
-        value = k - 1
-        check = [a - b for a, b in zip(lifted.values, failing)]
-        reduced, _ = _reduce_indices(hat, check, 0)
-        if reduced[0] >= 0:
-            raise InternalError("witness failed its certification re-run")
-        return RankResult(value, Divisor(hat, failing), METHOD_EXHAUSTIVE)
+        failing, classes = _scan_level(hat, base_reduced, k, budget, classes)
+        if failing is not None:
+            return RankResult(k - 1, _certify(hat, lifted.values, failing), METHOD_EXHAUSTIVE)
+        k += 1
 
 
 def rank_geq(
@@ -165,7 +238,7 @@ def rank_geq(
     if k < 0:
         raise DomainError("rank_geq needs k >= 0")
     base_reduced, _ = _reduce_indices(graph, list(divisor.values), 0)
-    failing = _scan_level(graph, base_reduced, k, budget)
+    failing, _ = _scan_level(graph, base_reduced, k, budget)
     if failing is None:
         return True, None
     return False, Divisor(graph, failing)
@@ -219,13 +292,7 @@ def rank_lower_bound_certified(
     graph = divisor.graph
     graph.require_connected("rank_lower_bound_certified")
     n = graph.vertex_count
-    count = _level_count(r, n)
-    if count > budget:
-        raise BudgetError(
-            f"degree-{r} enumeration needs {count} candidates, over the budget of {budget}",
-            count=count,
-            budget=budget,
-        )
+    _check_budget(r, n, budget)
     local = [graph.local_genus(v) for v in graph.vertex_ids]
     dvals = divisor.values
     for e in iter_effective_values(r, n):

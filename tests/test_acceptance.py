@@ -250,3 +250,29 @@ def test_reduce_complete_graph_time_independent_of_chip_count():
         ids = [f"v{i}" for i in range(6)]
         k6 = cf.Graph(ids, [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]])
         _check_reduction(cf.Divisor(k6, {"v3": 10**6}), "v0")
+
+
+def test_exhaustive_rank_weighted_cycle_from_classes():
+    # genus 4, degree 14 > 2g - 2, rank 10: enumerating the passing levels
+    # 0-10 on the 9-vertex hat graph visits C(19, 9) = 92,378 candidates
+    with _Timer("weighted C6, exhaustive rank", 1.0):
+        ids = [f"v{i}" for i in range(6)]
+        cycle = cf.Graph(
+            [(v, 1 - i % 2) for i, v in enumerate(ids)],
+            [(ids[i], ids[(i + 1) % 6]) for i in range(6)],
+        )
+        assert cycle.genus() == 4
+        result = cf.rank(cf.Divisor(cycle, (3, 2, 2, 2, 3, 2)), exhaustive=True)
+        assert result.rank == 10
+        assert cf.render_divisor(result.witness) == "v0.z1=1,v2.z1=1,v4.z1=9"
+
+
+def test_exhaustive_rank_looped_k4_from_classes():
+    with _Timer("weighted looped K4, exhaustive rank", 1.0):
+        ids = ["v0", "v1", "v2", "v3"]
+        edges = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+        k4 = cf.Graph(list(zip(ids, (0, 1, 0, 1))), edges + [("v0", "v0"), ("v2", "v2")])
+        assert k4.genus() == 7
+        result = cf.rank(cf.Divisor(k4, (5, 4, 5, 4)), exhaustive=True)
+        assert result.rank == 11
+        assert cf.render_divisor(result.witness) == "v0.z1=1,v1.z1=1,v2.z1=3,v3.z1=7"

@@ -1,8 +1,12 @@
 import importlib
+import math
+import random
 
 import pytest
 
 import chipfire as cf
+from chipfire.divisor import _solve_reduced
+from chipfire.oracle import BRUTE_RANK_MAX_DEGREE, BRUTE_RANK_MAX_VERTICES
 from conftest import binary_graph, seeded_instances
 
 
@@ -102,6 +106,115 @@ def test_rank_witness_is_lex_smallest(dhar5):
             assert failing
             break
         assert not failing
+
+
+# -- class frontier -----------------------------------------------------------
+
+
+def _banded_instances(seed, per_band, max_candidates=3000):
+    """Sweep-generator divisors: ``per_band`` with 0 <= deg <= 2g-2 and as
+    many above 2g-2, each with a lex scan of at most ``max_candidates``
+    candidates at its failing level."""
+    rng = random.Random(seed)
+    bands = {"middle": [], "high": []}
+    while any(len(found) < per_band for found in bands.values()):
+        graph = cf.random_connected_graph(rng, 5, 9, 1)
+        divisor = cf.random_divisor(rng, graph, 3)
+        genus, degree = graph.genus(), divisor.degree
+        if degree < 0:
+            continue
+        band = "high" if degree > 2 * genus - 2 else "middle"
+        top = cf.rank_for_degree(degree, genus) + 1
+        hat_n = cf.hat_graph(graph).target.vertex_count
+        if len(bands[band]) < per_band and math.comb(top + hat_n - 1, hat_n - 1) <= max_candidates:
+            bands[band].append(divisor)
+    return bands["middle"] + bands["high"]
+
+
+def _lex_rank(divisor):
+    """Rank and witness by enumerating every level in lex order on the hat
+    graph, reducing each candidate."""
+    embedding = cf.hat_graph(divisor.graph)
+    hat = embedding.target
+    lifted = cf.lift_divisor(embedding, divisor)
+    base = hat.vertex_ids[0]
+    k = 0
+    while True:
+        for e in cf.iter_effective_values(k, hat.vertex_count):
+            candidate = cf.Divisor(hat, e)
+            reduced, _ = cf.reduce_divisor(lifted - candidate, base)
+            if reduced[base] < 0:
+                return k - 1, candidate
+        k += 1
+
+
+def test_rank_matches_lex_scan_and_brute_rank():
+    brute_checked = 0
+    for divisor in _banded_instances(501, 40):
+        expected = _lex_rank(divisor)
+        for exhaustive in (False, True):
+            result = cf.rank(divisor, exhaustive=exhaustive)
+            assert (result.rank, result.witness) == expected
+        graph = divisor.graph
+        if (
+            not any(graph.weights)
+            and not any(graph.loop_count(v) for v in graph.vertex_ids)
+            and graph.vertex_count <= BRUTE_RANK_MAX_VERTICES
+            and divisor.degree <= BRUTE_RANK_MAX_DEGREE
+        ):
+            assert cf.brute_rank(divisor) == expected[0]
+            brute_checked += 1
+    assert brute_checked >= 10
+
+
+def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
+    rank_module = importlib.import_module("chipfire.rank")
+    scan = rank_module._scan_level
+    enumerate_level = rank_module.iter_effective_values
+    enumerated = []
+    spanning_trees = {}
+    decided_from_classes = 0
+
+    def counting(degree, size):
+        enumerated.append(degree)
+        return enumerate_level(degree, size)
+
+    def level_classes(graph, base_reduced, k):
+        base = graph.vertex_ids[0]
+        return {
+            cf.reduce_divisor(cf.Divisor(graph, base_reduced) - cf.Divisor(graph, e), base)[0].values
+            for e in enumerate_level(k, graph.vertex_count)
+        }
+
+    def checked(graph, base_reduced, k, budget, previous=None):
+        nonlocal decided_from_classes
+        if graph not in spanning_trees:
+            spanning_trees[graph] = _solve_reduced(graph, [0] * graph.vertex_count)[1]
+        before = len(enumerated)
+        failing, classes = scan(graph, base_reduced, k, budget, previous)
+        if classes is not None:
+            assert classes == level_classes(graph, base_reduced, k)
+            assert len(classes) <= spanning_trees[graph]
+        if previous is not None:
+            if failing is None and len(enumerated) == before:
+                decided_from_classes += 1
+            assert scan(graph, base_reduced, k, budget)[0] == failing
+        return failing, classes
+
+    # K4 with a path hung from v1: the path's vertices fall into v1's class,
+    # so level 2 is expanded from four classes, and 2 v0 is equivalent to no
+    # other effective divisor, so one class of level 2 is reached only by
+    # subtracting the base
+    ids = ["v0", "v1", "v2", "v3", "p1", "p2", "p3", "p4"]
+    edges = [(a, b) for i, a in enumerate(ids[:4]) for b in ids[i + 1:4]]
+    edges += [("v1", "p1"), ("p1", "p2"), ("p2", "p3"), ("p3", "p4")]
+    pendant = cf.Divisor(cf.Graph(ids, edges), (2, 2, 2, 2, 0, 0, 0, 0))
+
+    monkeypatch.setattr(rank_module, "iter_effective_values", counting)
+    monkeypatch.setattr(rank_module, "_scan_level", checked)
+    for divisor in _banded_instances(502, 40) + [pendant]:
+        cf.rank(divisor, exhaustive=True)
+    assert decided_from_classes > 0
 
 
 # -- rank-explicit ------------------------------------------------------------
