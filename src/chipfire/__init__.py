@@ -52,14 +52,7 @@ from .rank import (
 )
 from .reduction import DharDecomposition, dhar, is_reduced, is_saturation, reduce_divisor, saturate
 from .sweep import SweepConfig, SweepReport, random_connected_graph, random_divisor, run_sweep
-from .textio import (
-    GraphDocument,
-    parse_divisor,
-    parse_graph,
-    render_divisor,
-    render_graph,
-    render_script,
-)
+from .textio import GraphDocument, parse_divisor, parse_graph, render_divisor, render_graph
 
 __version__ = "0.1.0"
 
@@ -119,7 +112,6 @@ __all__ = [
     "reduce_divisor",
     "render_divisor",
     "render_graph",
-    "render_script",
     "riemann_roch_residual",
     "run_sweep",
     "saturate",

@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Every subcommand reads a plain-text graph file (see :mod:`chipfire.textio`)
-and prints either human-readable lines or, with ``--json``, one stable JSON
+Every subcommand but ``sweep`` reads a plain-text graph file (see
+:mod:`chipfire.textio`), which ``main`` loads once, together with the
+``--divisor`` literal where the subcommand takes one; every subcommand
+prints either human-readable lines or, with ``--json``, one stable JSON
 object.  Exit codes: 0 success, 1 domain error (bad input data, property
 failure), 2 usage error.
 """
@@ -12,21 +14,21 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .divisor import equivalence_script
+from .divisor import Divisor, equivalence_script
 from .errors import ChipfireError
 from .graph import Graph, hat_graph, strip_weights_and_loops, subdivide_loops
 from .rank import DEFAULT_BUDGET, rank, riemann_roch_residual
 from .reduction import dhar, reduce_divisor, saturate
 from .sweep import SweepConfig, run_sweep
-from .textio import parse_divisor, parse_graph, render_divisor, render_graph, render_script
+from .textio import parse_divisor, parse_graph, render_divisor, render_graph
 
 
 def _load_graph(path: str) -> Graph:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ChipfireError(f"cannot read graph file {path!r}: {exc}") from exc
     return parse_graph(text).graph
 
@@ -56,15 +58,13 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _cmd_genus(args) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_genus(args, graph: Graph, _divisor) -> int:
     value = graph.genus()
     _emit(args, {"genus": value}, [f"genus = {value}"])
     return 0
 
 
-def _cmd_canonical(args) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_canonical(args, graph: Graph, _divisor) -> int:
     divisor = graph.canonical_divisor()
     _emit(
         args,
@@ -74,42 +74,32 @@ def _cmd_canonical(args) -> int:
     return 0
 
 
-def _cmd_hat(args) -> int:
-    graph = _load_graph(args.graph)
-    embedding = hat_graph(graph)
-    payload = _graph_payload(embedding.target)
-    payload["added"] = {v: list(zs) for v, zs in embedding.added.items()}
-    lines = [render_graph(embedding.target).rstrip()]
-    for v, zs in embedding.added.items():
-        if zs:
-            lines.append(f"# added for {v}: {' '.join(zs)}")
+def _emit_derived(args, derived: Graph, added: Mapping[str, tuple[str, ...]]) -> int:
+    """A derived graph plus the fresh vertices added for each original one."""
+    payload = _graph_payload(derived)
+    payload["added"] = {v: list(zs) for v, zs in added.items()}
+    lines = [render_graph(derived).rstrip()]
+    lines.extend(f"# added for {v}: {' '.join(zs)}" for v, zs in added.items() if zs)
     _emit(args, payload, lines)
     return 0
 
 
-def _cmd_g0(args) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_hat(args, graph: Graph, _divisor) -> int:
+    embedding = hat_graph(graph)
+    return _emit_derived(args, embedding.target, embedding.added)
+
+
+def _cmd_g0(args, graph: Graph, _divisor) -> int:
     stripped = strip_weights_and_loops(graph)
     _emit(args, _graph_payload(stripped), [render_graph(stripped).rstrip()])
     return 0
 
 
-def _cmd_bullet(args) -> int:
-    graph = _load_graph(args.graph)
-    subdivided, added = subdivide_loops(graph)
-    payload = _graph_payload(subdivided)
-    payload["added"] = {v: list(zs) for v, zs in added.items()}
-    lines = [render_graph(subdivided).rstrip()]
-    for v, zs in added.items():
-        if zs:
-            lines.append(f"# added for {v}: {' '.join(zs)}")
-    _emit(args, payload, lines)
-    return 0
+def _cmd_bullet(args, graph: Graph, _divisor) -> int:
+    return _emit_derived(args, *subdivide_loops(graph))
 
 
-def _cmd_rank(args) -> int:
-    graph = _load_graph(args.graph)
-    divisor = parse_divisor(args.divisor, graph)
+def _cmd_rank(args, _graph, divisor: Divisor) -> int:
     result = rank(divisor, budget=args.budget, exhaustive=args.exhaustive)
     payload = {
         "rank": result.rank,
@@ -126,22 +116,18 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _cmd_reduce(args) -> int:
-    graph = _load_graph(args.graph)
-    divisor = parse_divisor(args.divisor, graph)
+def _cmd_reduce(args, _graph, divisor: Divisor) -> int:
     reduced, script = reduce_divisor(divisor, args.base)
     payload = {"reduced": reduced.as_dict(), "script": script.as_dict()}
     _emit(
         args,
         payload,
-        [f"reduced: {render_divisor(reduced) or '0'}", f"script: {render_script(script) or '0'}"],
+        [f"reduced: {render_divisor(reduced) or '0'}", f"script: {render_divisor(script) or '0'}"],
     )
     return 0
 
 
-def _cmd_dhar(args) -> int:
-    graph = _load_graph(args.graph)
-    divisor = parse_divisor(args.divisor, graph)
+def _cmd_dhar(args, graph: Graph, divisor: Divisor) -> int:
     decomposition = dhar(divisor, args.base)
     payload = {
         "layers": [_ordered(graph, layer) for layer in decomposition.layers],
@@ -157,25 +143,20 @@ def _cmd_dhar(args) -> int:
     return 0
 
 
-def _cmd_equiv(args) -> int:
-    graph = _load_graph(args.graph)
-    d1 = parse_divisor(args.divisor, graph)
-    d2 = parse_divisor(args.other, graph)
-    script = equivalence_script(d1, d2)
+def _cmd_equiv(args, graph: Graph, divisor: Divisor) -> int:
+    script = equivalence_script(divisor, parse_divisor(args.other, graph))
     payload = {
         "equivalent": script is not None,
         "script": script.as_dict() if script is not None else None,
     }
     lines = [f"equivalent: {'yes' if script is not None else 'no'}"]
     if script is not None:
-        lines.append(f"script: {render_script(script) or '0'}")
+        lines.append(f"script: {render_divisor(script) or '0'}")
     _emit(args, payload, lines)
     return 0
 
 
-def _cmd_saturate(args) -> int:
-    graph = _load_graph(args.graph)
-    divisor = parse_divisor(args.divisor, graph)
+def _cmd_saturate(args, _graph, divisor: Divisor) -> int:
     saturated, added = saturate(divisor, args.base)
     payload = {"added_edges": added, "graph": _graph_payload(saturated)}
     _emit(
@@ -186,9 +167,7 @@ def _cmd_saturate(args) -> int:
     return 0
 
 
-def _cmd_rr_check(args) -> int:
-    graph = _load_graph(args.graph)
-    divisor = parse_divisor(args.divisor, graph)
+def _cmd_rr_check(args, _graph, divisor: Divisor) -> int:
     residual = riemann_roch_residual(divisor, budget=args.budget)
     ok = residual == 0
     _emit(
@@ -199,9 +178,7 @@ def _cmd_rr_check(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_clifford(args) -> int:
-    graph = _load_graph(args.graph)
-    divisor = parse_divisor(args.divisor, graph)
+def _cmd_clifford(args, graph: Graph, divisor: Divisor) -> int:
     value = rank(divisor, budget=args.budget).rank
     applicable = 0 <= divisor.degree <= 2 * graph.genus() - 2 and value >= 0
     ok = not applicable or value <= divisor.degree // 2
@@ -220,7 +197,7 @@ def _cmd_clifford(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, _graph, _divisor) -> int:
     config = SweepConfig(
         trials=args.trials,
         max_vertices=args.vertices,
@@ -313,7 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        graph = _load_graph(args.graph) if "graph" in args else None
+        divisor = parse_divisor(args.divisor, graph) if "divisor" in args else None
+        return args.func(args, graph, divisor)
     except ChipfireError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -345,13 +345,15 @@ def lift_divisor(embedding: HatEmbedding, divisor: Divisor) -> Divisor:
 
 def iter_effective_values(degree: int, size: int) -> Iterator[tuple[int, ...]]:
     """All non-negative integer tuples of the given length and sum, in
-    lexicographic order; the count is C(degree + size - 1, size - 1)."""
+    lexicographic order: C(degree + size - 1, size - 1) of them, and none
+    for a negative degree."""
     if size < 1:
         if degree == 0:
             yield ()
         return
     if size == 1:
-        yield (degree,)
+        if degree >= 0:
+            yield (degree,)
         return
     for first in range(degree + 1):
         for rest in iter_effective_values(degree - first, size - 1):

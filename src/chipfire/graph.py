@@ -318,26 +318,35 @@ def _fresh_ids(graph: Graph, vertex: str, count: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _hang_fresh(
+    graph: Graph, weights: Sequence[int], counts: Sequence[int]
+) -> tuple[Graph, dict[str, tuple[str, ...]]]:
+    """The graph without its loops, with the given vertex weights, and
+    ``counts[i]`` fresh weight-zero vertices hung on vertex i by double
+    edges; returns it and the map from each vertex to its fresh ones."""
+    vertices: list[tuple[str, int]] = list(zip(graph.vertex_ids, weights))
+    edges: list[tuple[str, str, int]] = [
+        (a, b, mult) for (a, b), mult in graph.edge_items() if a != b
+    ]
+    added: dict[str, tuple[str, ...]] = {}
+    for v, count in zip(graph.vertex_ids, counts):
+        fresh = _fresh_ids(graph, v, count)
+        added[v] = fresh
+        for z in fresh:
+            vertices.append((z, 0))
+            edges.append((v, z, 2))
+    return Graph(vertices, edges), added
+
+
 def hat_graph(graph: Graph) -> HatEmbedding:
     """Eliminate weights and loops without changing the genus.
 
     Weightless loopless graphs come back unchanged (same object).
     """
-    budget = sum(graph.local_genus(v) for v in graph.vertex_ids)
-    if budget == 0:
+    genera = [graph.local_genus(v) for v in graph.vertex_ids]
+    if not any(genera):
         return HatEmbedding(graph, graph, {v: () for v in graph.vertex_ids})
-    vertices: list[tuple[str, int]] = [(v, 0) for v in graph.vertex_ids]
-    edges: list[tuple[str, str, int]] = [
-        (a, b, mult) for (a, b), mult in graph.edge_items() if a != b
-    ]
-    added: dict[str, tuple[str, ...]] = {}
-    for v in graph.vertex_ids:
-        fresh = _fresh_ids(graph, v, graph.local_genus(v))
-        added[v] = fresh
-        for z in fresh:
-            vertices.append((z, 0))
-            edges.append((v, z, 2))
-    return HatEmbedding(graph, Graph(vertices, edges), added)
+    return HatEmbedding(graph, *_hang_fresh(graph, [0] * graph.vertex_count, genera))
 
 
 def strip_weights_and_loops(graph: Graph) -> Graph:
@@ -348,9 +357,8 @@ def strip_weights_and_loops(graph: Graph) -> Graph:
     """
     if not any(graph.weights) and not any(graph._loops):
         return graph
-    vertices = [(v, 0) for v in graph.vertex_ids]
-    edges = [(a, b, mult) for (a, b), mult in graph.edge_items() if a != b]
-    return Graph(vertices, edges)
+    zeros = [0] * graph.vertex_count
+    return _hang_fresh(graph, zeros, zeros)[0]
 
 
 def subdivide_loops(graph: Graph) -> tuple[Graph, dict[str, tuple[str, ...]]]:
@@ -361,15 +369,4 @@ def subdivide_loops(graph: Graph) -> tuple[Graph, dict[str, tuple[str, ...]]]:
     """
     if not any(graph._loops):
         return graph, {v: () for v in graph.vertex_ids}
-    vertices: list[tuple[str, int]] = list(graph.vertex_items)
-    edges: list[tuple[str, str, int]] = [
-        (a, b, mult) for (a, b), mult in graph.edge_items() if a != b
-    ]
-    added: dict[str, tuple[str, ...]] = {}
-    for v in graph.vertex_ids:
-        fresh = _fresh_ids(graph, v, graph.loop_count(v))
-        added[v] = fresh
-        for z in fresh:
-            vertices.append((z, 0))
-            edges.append((v, z, 2))
-    return Graph(vertices, edges), added
+    return _hang_fresh(graph, graph.weights, graph._loops)

@@ -9,21 +9,21 @@ to an effective divisor is decided by a single reduction at a fixed base
 vertex (the first declared vertex): a class contains an effective divisor
 exactly when its base-reduced representative is non-negative at the base.
 
-The exhaustive search goes level by level: level k holds the classes of
-D - e for the effective e of degree k, and the rank is one less than the
-first level with a class that has no effective representative.  The
-class of D - e - v depends only on the class of D - e, so level k + 1 is
-the set of reductions of c - v over the classes c of level k and the
-vertices v, and no level has more classes than the graph has spanning
-trees.  A level is decided that way when expanding the previous level's
-classes costs less than enumerating the level's tuples.  Otherwise, and
-always at the failing level (so that the witness is the
-lexicographically smallest failing tuple), the tuples are enumerated.
-The search is exponential, so it is guarded by a budget on each level's
-candidate count, however the level is decided, and short-circuited by two
-exact fast paths: classes whose reduced representative is negative at the
-base have rank -1, and effective divisors reduced at a vertex of minimal
-rank capacity have rank equal to that minimum.
+Fast paths pick a starting level; one loop searches and certifies.  Level
+k holds the classes of D - e for the effective e of degree k, and the rank
+is one less than the first level with a class that has no effective
+representative.  Three exact fast paths know the rank r and start at level
+r + 1, which must fail: the degree formula on a single vertex, rank -1
+when the base-reduced representative is negative at the base, and the
+minimal rank capacity for an effective divisor reduced at a vertex
+attaining it.  The exhaustive search starts at level 0.  The class of
+D - e - v depends only on the class of D - e, so level k + 1 is the set of
+reductions of c - v over the classes c of level k and the vertices v, and
+no level has more classes than the graph has spanning trees.  A level is
+decided that way when expanding the previous level's classes costs less
+than enumerating its tuples.  Otherwise, and always at the failing level
+(so that the witness is the lexicographically smallest failing tuple), the
+tuples are enumerated, under a budget on each level's candidate count.
 """
 
 from __future__ import annotations
@@ -173,15 +173,6 @@ def _certify(graph: Graph, lifted_values: tuple[int, ...], failing: tuple[int, .
     return Divisor(graph, failing)
 
 
-def _certified_witness(
-    graph: Graph, lifted_values: tuple[int, ...], base_reduced: list[int], value: int, budget: int
-) -> Divisor:
-    failing, _ = _scan_level(graph, base_reduced, value + 1, budget)
-    if failing is None:
-        raise InternalError("no failing divisor found one degree above the computed rank")
-    return _certify(graph, lifted_values, failing)
-
-
 def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = False) -> RankResult:
     """The combinatorial rank of a divisor on any connected graph.
 
@@ -200,27 +191,24 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     lifted = lift_divisor(embedding, divisor)
     base_reduced, _ = _reduce_indices(hat, list(lifted.values), 0)
 
+    method, k = METHOD_EXHAUSTIVE, 0
     if not exhaustive:
         if graph.vertex_count == 1:
             d0 = divisor.values[0]
-            local = graph.local_genus(graph.vertex_ids[0])
-            value = rank_for_degree(d0, local) if d0 >= 0 else -1
-            witness = _certified_witness(hat, lifted.values, base_reduced, value, budget)
-            return RankResult(value, witness, METHOD_FORMULA)
-        if base_reduced[0] < 0:
-            witness = _certified_witness(hat, lifted.values, base_reduced, -1, budget)
-            return RankResult(-1, witness, METHOD_REDUCED_NEGATIVE)
-        if divisor.is_effective and rank_explicit_vertex(divisor) is not None:
-            value = rank_lower_bound(divisor)
-            witness = _certified_witness(hat, lifted.values, base_reduced, value, budget)
-            return RankResult(value, witness, METHOD_RANK_EXPLICIT)
+            method = METHOD_FORMULA
+            k = rank_for_degree(d0, graph.local_genus(graph.vertex_ids[0])) + 1 if d0 >= 0 else 0
+        elif base_reduced[0] < 0:
+            method = METHOD_REDUCED_NEGATIVE
+        elif divisor.is_effective and rank_explicit_vertex(divisor) is not None:
+            method, k = METHOD_RANK_EXPLICIT, rank_lower_bound(divisor) + 1
 
-    k = 0
     classes = None
     while True:
         failing, classes = _scan_level(hat, base_reduced, k, budget, classes)
         if failing is not None:
-            return RankResult(k - 1, _certify(hat, lifted.values, failing), METHOD_EXHAUSTIVE)
+            return RankResult(k - 1, _certify(hat, lifted.values, failing), method)
+        if method != METHOD_EXHAUSTIVE:
+            raise InternalError("no failing divisor found one degree above the computed rank")
         k += 1
 
 

@@ -223,6 +223,16 @@ def _checked_base(divisor: Divisor, base: str, operation: str) -> int:
     return graph.index(base)
 
 
+def _checked_effective_off_base(divisor: Divisor, base: str, operation: str) -> int:
+    """``_checked_base``, refusing a divisor that is negative off the base."""
+    u = _checked_base(divisor, base, operation)
+    for v, x in enumerate(divisor.values):
+        if x < 0 and v != u:
+            vid = divisor.graph.vertex_ids[v]
+            raise DomainError(f"divisor is negative at {vid!r}; only the base may be negative")
+    return u
+
+
 def dhar(divisor: Divisor, base: str) -> DharDecomposition:
     """The burning decomposition of the vertex set from ``base``.
 
@@ -230,10 +240,7 @@ def dhar(divisor: Divisor, base: str) -> DharDecomposition:
     depends only on the loop-stripped weightless graph.
     """
     graph = divisor.graph
-    u = _checked_base(divisor, base, "dhar")
-    for v, x in zip(graph.vertex_ids, divisor.values):
-        if x < 0 and graph.index(v) != u:
-            raise DomainError(f"divisor is negative at {v!r}; only the base may be negative")
+    u = _checked_effective_off_base(divisor, base, "dhar")
     layers, unburned = _dhar_indices(graph, list(divisor.values), u)
     ids = graph.vertex_ids
     return DharDecomposition(
@@ -278,10 +285,7 @@ def saturate(divisor: Divisor, base: str) -> tuple[Graph, int]:
     with multiplicity.  Minimal saturations are not sought.
     """
     graph = divisor.graph
-    u = _checked_base(divisor, base, "saturate")
-    for v, x in zip(graph.vertex_ids, divisor.values):
-        if x < 0 and v != base:
-            raise DomainError(f"divisor is negative at {v!r}; only the base may be negative")
+    u = _checked_effective_off_base(divisor, base, "saturate")
     extra = [
         (base, graph.vertex_ids[v], divisor.values[v])
         for v in _burn(graph, list(divisor.values), u)
@@ -302,7 +306,7 @@ def is_saturation(original: Graph, candidate: Graph, divisor: Divisor, base: str
     original.require_connected("is_saturation")
     if candidate.vertex_items != original.vertex_items:
         return False
-    base_idx = original.index(base)
+    original.index(base)  # an unknown base raises before any edge is compared
     for (a, b), mult in original.edge_items():
         if candidate.multiplicity(a, b) < mult:
             return False
@@ -312,7 +316,4 @@ def is_saturation(original: Graph, candidate: Graph, divisor: Divisor, base: str
             return False
         if extra > 0 and base not in (a, b):
             return False
-    rebound = Divisor(candidate, divisor.as_dict())
-    if any(x < 0 for v, x in zip(candidate.vertex_ids, rebound.values) if v != base):
-        return False
-    return not _burn(candidate, list(rebound.values), base_idx)
+    return is_reduced(Divisor(candidate, divisor.as_dict()), base)

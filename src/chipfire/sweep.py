@@ -30,7 +30,7 @@ from .divisor import (
     rank_for_degree,
     rank_lower_bound,
 )
-from .errors import InternalError
+from .errors import DomainError, InternalError
 from .graph import Graph, hat_graph, strip_weights_and_loops, subdivide_loops
 from .oracle import (
     BRUTE_RANK_MAX_DEGREE,
@@ -39,7 +39,7 @@ from .oracle import (
     brute_is_reduced,
     brute_rank,
 )
-from .rank import DEFAULT_BUDGET, METHOD_EXHAUSTIVE, rank
+from .rank import METHOD_EXHAUSTIVE, rank
 from .reduction import is_reduced, reduce_divisor
 from .textio import render_divisor, render_graph
 
@@ -69,7 +69,13 @@ class SweepConfig:
     max_value: int = 4  # |d(v)| bound
     seed: int = 0
     cost_cap: int = 6000  # resample instances whose estimated search is larger
-    rank_budget: int = DEFAULT_BUDGET
+
+    def __post_init__(self):
+        lows = {"trials": 0, "max_vertices": 1, "max_edges": 0, "max_weight": 0, "max_value": 0}
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if value < low:
+                raise DomainError(f"sweep needs {name} >= {low}, got {value}")
 
 
 @dataclass
@@ -185,19 +191,17 @@ class _Sweep:
     # -- the battery -----------------------------------------------------
 
     def _run_instance(self, trial: int, graph: Graph, divisor: Divisor) -> None:
-        cfg = self.config
         rng = self.rng
-        budget = cfg.rank_budget
         n = graph.vertex_count
         ids = graph.vertex_ids
         genus = graph.genus()
         degree = divisor.degree
 
-        result = rank(divisor, budget=budget)
+        result = rank(divisor)
         value = result.rank
 
         canonical = graph.canonical_divisor()
-        dual = rank(canonical - divisor, budget=budget).rank
+        dual = rank(canonical - divisor).rank
         if value - dual != degree - genus + 1:
             self._fail(
                 trial,
@@ -214,7 +218,7 @@ class _Sweep:
 
         script = FiringScript(graph, [rng.randint(0, 2) for _ in ids])
         shifted = divisor + apply_script(script)
-        if rank(shifted, budget=budget).rank != value:
+        if rank(shifted).rank != value:
             self._fail(trial, "class-invariance", "rank changed under a principal shift", graph, divisor)
         self._tick("class-invariance")
 
@@ -232,13 +236,13 @@ class _Sweep:
         bump_values[rng.randrange(n)] += 1
         bump_values[rng.randrange(n)] += 1
         bumped = divisor + Divisor(graph, bump_values)
-        if rank(bumped, budget=budget).rank < value:
+        if rank(bumped).rank < value:
             self._fail(trial, "monotonicity", "rank dropped after adding chips", graph, divisor)
         self._tick("monotonicity")
 
         stripped = strip_weights_and_loops(graph)
         on_stripped = divisor if stripped is graph else Divisor(stripped, divisor.values)
-        stripped_value = rank(on_stripped, budget=budget).rank
+        stripped_value = rank(on_stripped).rank
         if stripped_value < value or (stripped_value == -1) != (value == -1):
             self._fail(
                 trial,
@@ -252,7 +256,7 @@ class _Sweep:
         subdivided, _ = subdivide_loops(graph)
         if subdivided is not graph:
             extended = Divisor(subdivided, divisor.as_dict())
-            if rank(extended, budget=budget).rank != value:
+            if rank(extended).rank != value:
                 self._fail(trial, "bullet-identity", "rank changed under loop subdivision", graph, divisor)
         self._tick("bullet-identity")
 
@@ -286,7 +290,7 @@ class _Sweep:
         self._tick("rank-zero-characterization")
 
         if result.method != METHOD_EXHAUSTIVE:
-            recomputed = rank(divisor, budget=budget, exhaustive=True).rank
+            recomputed = rank(divisor, exhaustive=True).rank
             if recomputed != value:
                 self._fail(
                     trial,

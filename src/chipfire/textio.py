@@ -121,11 +121,7 @@ def parse_divisor(text: str, graph: Graph) -> Divisor:
     return Divisor(graph, values)
 
 
-def render_divisor(divisor: Divisor) -> str:
+def render_divisor(divisor: Divisor | FiringScript) -> str:
     """The canonical literal: nonzero entries in vertex order; empty for the
-    zero divisor."""
+    zero divisor.  Firing scripts render the same way."""
     return ",".join(f"{v}={x}" for v, x in divisor.nonzero_items())
-
-
-def render_script(script: FiringScript) -> str:
-    return ",".join(f"{v}={x}" for v, x in script.nonzero_items())

@@ -208,6 +208,76 @@ def test_cli_structural_commands(weighted_binary_file, capsys):
     assert bullet["vertices"] == [["v1", 1], ["v2", 2]]  # no loops to subdivide
 
 
+WEIGHTED_LOOPED_TEXT = """\
+v a 1
+v b
+v c 2
+e a b 2
+e a a
+e b c
+e c c 2
+"""
+
+
+@pytest.fixture
+def weighted_looped_file(tmp_path):
+    path = tmp_path / "wl.graph"
+    path.write_text(WEIGHTED_LOOPED_TEXT)
+    return str(path)
+
+
+def test_cli_hat_exact_output(weighted_looped_file, capsys):
+    assert main(["hat", weighted_looped_file]) == 0
+    assert capsys.readouterr().out == (
+        "v a\nv b\nv c\nv a.z1\nv a.z2\nv c.z1\nv c.z2\nv c.z3\nv c.z4\n"
+        "e a b 2\ne a a.z1 2\ne a a.z2 2\ne b c\n"
+        "e c c.z1 2\ne c c.z2 2\ne c c.z3 2\ne c c.z4 2\n"
+        "# added for a: a.z1 a.z2\n"
+        "# added for c: c.z1 c.z2 c.z3 c.z4\n"
+    )
+    assert main(["hat", weighted_looped_file, "--json"]) == 0
+    expected = {
+        "vertices": [[v, 0] for v in ("a", "b", "c", "a.z1", "a.z2", "c.z1", "c.z2", "c.z3", "c.z4")],
+        "edges": [
+            ["a", "b", 2], ["a", "a.z1", 2], ["a", "a.z2", 2], ["b", "c", 1],
+            ["c", "c.z1", 2], ["c", "c.z2", 2], ["c", "c.z3", 2], ["c", "c.z4", 2],
+        ],
+        "genus": 7,
+        "added": {"a": ["a.z1", "a.z2"], "b": [], "c": ["c.z1", "c.z2", "c.z3", "c.z4"]},
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_cli_bullet_exact_output(weighted_looped_file, capsys):
+    assert main(["bullet", weighted_looped_file]) == 0
+    assert capsys.readouterr().out == (
+        "v a 1\nv b\nv c 2\nv a.z1\nv c.z1\nv c.z2\n"
+        "e a b 2\ne a a.z1 2\ne b c\ne c c.z1 2\ne c c.z2 2\n"
+        "# added for a: a.z1\n"
+        "# added for c: c.z1 c.z2\n"
+    )
+    assert main(["bullet", weighted_looped_file, "--json"]) == 0
+    expected = {
+        "vertices": [["a", 1], ["b", 0], ["c", 2], ["a.z1", 0], ["c.z1", 0], ["c.z2", 0]],
+        "edges": [["a", "b", 2], ["a", "a.z1", 2], ["b", "c", 1], ["c", "c.z1", 2], ["c", "c.z2", 2]],
+        "genus": 7,
+        "added": {"a": ["a.z1"], "b": [], "c": ["c.z1", "c.z2"]},
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_cli_g0_exact_output(weighted_looped_file, capsys):
+    assert main(["g0", weighted_looped_file]) == 0
+    assert capsys.readouterr().out == "v a\nv b\nv c\ne a b 2\ne b c\n"
+    assert main(["g0", weighted_looped_file, "--json"]) == 0
+    expected = {
+        "vertices": [["a", 0], ["b", 0], ["c", 0]],
+        "edges": [["a", "b", 2], ["b", "c", 1]],
+        "genus": 1,
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_cli_rr_and_clifford(dhar5_file, capsys):
     assert main(["rr-check", dhar5_file, "-d", "v1=1,v2=2,v3=4,v4=4"]) == 0
     assert "residual = 0" in capsys.readouterr().out
@@ -229,6 +299,15 @@ def test_cli_domain_errors_exit_one(dhar5_file, tmp_path, capsys):
 
     assert main(["dhar", dhar5_file, "-d", "v1=-1", "-u", "v0"]) == 1
     assert "'v1'" in capsys.readouterr().err
+
+
+def test_cli_graph_file_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes("v caf\xe9\n".encode("latin-1"))
+    assert main(["genus", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read graph file {str(path)!r}: ")
 
 
 def test_cli_usage_errors_exit_two(dhar5_file, capsys):
@@ -264,3 +343,29 @@ def test_cli_sweep_text(capsys):
     out = capsys.readouterr().out
     assert "result: PASS" in out
     assert "check riemann-roch: 3 run" in out
+
+
+def test_sweep_config_rejects_out_of_range_fields():
+    for field, value in (
+        ("trials", -1),
+        ("max_vertices", 0),
+        ("max_edges", -1),
+        ("max_weight", -2),
+        ("max_value", -1),
+    ):
+        with pytest.raises(cf.DomainError, match=field):
+            cf.SweepConfig(**{field: value})
+    cf.SweepConfig(trials=0, max_vertices=1, max_edges=0, max_weight=0, max_value=0)
+
+
+def test_cli_sweep_bad_options_exit_one(capsys):
+    for option, value in (
+        ("--vertices", "0"),
+        ("--trials", "-1"),
+        ("--max-edges", "-1"),
+        ("--max-weight", "-1"),
+    ):
+        assert main(["sweep", option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sweep needs ")

@@ -322,6 +322,14 @@ def test_effective_enumeration_is_lex_ordered():
     assert all(sum(t) == 3 for t in tuples)
 
 
+def test_effective_enumeration_of_negative_degree_is_empty():
+    for size in (1, 2, 3):
+        assert list(cf.iter_effective_values(-1, size)) == []
+    assert list(cf.iter_effective_values(-3, 1)) == []
+    assert list(cf.iter_effective_values(0, 1)) == [(0,)]
+    assert list(cf.iter_effective_values(0, 0)) == [()]
+
+
 # -- property tests ----------------------------------------------------------
 
 

@@ -59,6 +59,17 @@ def test_rank_weighted_binary_both_paths(weighted_binary):
     assert fast.witness.degree == slow.witness.degree == 3
 
 
+def test_rank_fast_path_level_must_fail(monkeypatch):
+    # a fast path that claims too low a rank starts the search at a level
+    # that passes; the search must refuse rather than go on looking
+    d = cf.Divisor(cf.Graph([("a", 2)]), (3,))
+    assert cf.rank(d).rank == 1
+    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "rank_for_degree", lambda d, g: 0)
+    with pytest.raises(cf.InternalError, match="one degree above the computed rank"):
+        cf.rank(d)
+    assert cf.rank(d, exhaustive=True).rank == 1
+
+
 def test_rank_three_component():
     fixture = cf.load_fixture("three-component")
     assert cf.rank(fixture.divisors["example"]).rank == 2
