@@ -6,10 +6,9 @@ the script moves chips along every edge according to the level difference
 of its endpoints, which realises the graph Laplacian.  Two divisors are
 linearly equivalent when their difference is such a script image.
 
-Everything here is exact: equivalence is decided by fraction-free integer
-elimination on the reduced Laplacian followed by a divisibility check,
-deliberately independent of the Dhar machinery in
-:mod:`chipfire.reduction` so the two can cross-check each other.
+Everything here is exact: a divisor is principal exactly when its reduced
+representative (:mod:`chipfire.reduction`) is zero, and the reduction's
+own firing levels, verified against the Laplacian, are its script.
 """
 
 from __future__ import annotations
@@ -185,59 +184,26 @@ def fire_set(graph: Graph, vertices: Iterable[str]) -> Divisor:
     return Divisor(graph, _laplacian_image(graph, indicator))
 
 
-def _solve_reduced(graph: Graph, rhs: Sequence[int]) -> tuple[list[int], int]:
-    """Solve the Laplacian system with the last vertex's row and column
-    deleted, exactly and without fractions: returns ``(nums, det)`` with
-    ``nums[i] / det`` the solution and ``det`` the number of spanning trees.
-    ``rhs`` is indexed by vertex; its last entry is never read.
-
-    Fraction-free (Bareiss) elimination on the negated reduced Laplacian,
-    which is positive definite on a connected graph, so no pivot is ever
-    zero: each step divides exactly by the previous pivot, the last pivot
-    is the determinant, and back-substitution stays in the integers because
-    ``det`` times the solution is integral (Cramer's rule).
-    """
-    m = graph.vertex_count - 1
-    lap = graph.laplacian()
-    rows = [[-x for x in lap[i][:m]] + [-rhs[i]] for i in range(m)]
-    prev = 1
-    for k in range(m):
-        top = rows[k]
-        pivot = top[k]
-        if pivot == 0:
-            raise InternalError("reduced Laplacian is singular on a connected graph")
-        for i in range(k + 1, m):
-            row = rows[i]
-            f = row[k]
-            row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
-        prev = pivot
-    det = prev
-    nums = [0] * m
-    for i in range(m - 1, -1, -1):
-        row = rows[i]
-        acc = det * row[m] - sum(row[j] * nums[j] for j in range(i + 1, m))
-        nums[i] = acc // row[i]
-    return nums, det
-
-
 def principal_script(divisor: Divisor) -> Optional[FiringScript]:
     """The canonical (minimum level zero) script whose firing produces the
     divisor, or None when the divisor is not principal.
 
-    Solves the reduced system obtained by deleting the last vertex, extends
-    by zero, and accepts exactly when the solution is integral: every
-    numerator divisible by the determinant.
+    It is principal exactly when it reduces to zero, at any base (here its
+    first most negative vertex); it is then the firing of the reduction's
+    levels, negated.
     """
+    from .reduction import _debt_base, _reduce_indices
+
     graph = divisor.graph
     graph.require_connected("principal_script")
     if divisor.degree != 0:
         return None
-    nums, det = _solve_reduced(graph, divisor.values)
-    if any(x % det for x in nums):
+    reduced, levels = _reduce_indices(graph, list(divisor.values), _debt_base(divisor.values))
+    if any(reduced):
         return None
-    script = FiringScript(graph, [x // det for x in nums] + [0]).normalized()
+    script = FiringScript(graph, [-x for x in levels]).normalized()
     if _laplacian_image(graph, script.levels) != list(divisor.values):
-        raise InternalError("principal-divisor solve failed verification")
+        raise InternalError("principal-divisor reduction failed verification")
     return script
 
 

@@ -190,8 +190,9 @@ class Graph:
 
     @property
     def is_connected(self) -> bool:
+        """Exactly one component: the empty graph is not connected."""
         if self._connected is None:
-            self._connected = len(self.components()) <= 1
+            self._connected = len(self.components()) == 1
         return self._connected
 
     def require_connected(self, operation: str) -> None:

@@ -2,8 +2,8 @@
 
 Everything here validates the main engine and therefore shares no code
 with :mod:`chipfire.reduction` or :mod:`chipfire.rank`: rank is evaluated
-straight from its definition with equivalence decided by the exact
-Laplacian solver, and reducedness by enumerating every vertex subset.
+straight from its definition with equivalence decided by the oracle's
+own exact Laplacian solve, and reducedness by enumerating every subset.
 Budgets are hard-coded and exceeding them is an error, never silent
 truncation.
 """
@@ -12,20 +12,50 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .divisor import (
-    Divisor,
-    _solve_reduced,
-    fire_set,
-    iter_effective_values,
-)
-from .errors import BudgetError, DomainError, FixtureError
+from .divisor import Divisor, fire_set, iter_effective_values
+from .errors import BudgetError, DomainError, FixtureError, InternalError
 from .graph import Graph
 
 BRUTE_RANK_MAX_VERTICES = 6
 BRUTE_RANK_MAX_DEGREE = 8
 BRUTE_REDUCED_MAX_VERTICES = 12
+
+
+def _solve_reduced(graph: Graph, rhs: Sequence[int]) -> tuple[list[int], int]:
+    """Solve the Laplacian system with the last vertex's row and column
+    deleted, exactly and without fractions: returns ``(nums, det)`` with
+    ``nums[i] / det`` the solution and ``det`` the number of spanning trees.
+    ``rhs`` is indexed by vertex; its last entry is never read.
+
+    Fraction-free (Bareiss) elimination on the negated reduced Laplacian,
+    which is positive definite on a connected graph, so no pivot is ever
+    zero: each step divides exactly by the previous pivot, the last pivot
+    is the determinant, and back-substitution stays in the integers because
+    ``det`` times the solution is integral (Cramer's rule).
+    """
+    m = graph.vertex_count - 1
+    lap = graph.laplacian()
+    rows = [[-x for x in lap[i][:m]] + [-rhs[i]] for i in range(m)]
+    prev = 1
+    for k in range(m):
+        top = rows[k]
+        pivot = top[k]
+        if pivot == 0:
+            raise InternalError("reduced Laplacian is singular on a connected graph")
+        for i in range(k + 1, m):
+            row = rows[i]
+            f = row[k]
+            row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
+    det = prev
+    nums = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = rows[i]
+        acc = det * row[m] - sum(row[j] * nums[j] for j in range(i + 1, m))
+        nums[i] = acc // row[i]
+    return nums, det
 
 
 def _class_signature(graph: Graph, values: list[int]):

@@ -5,9 +5,10 @@ The rank of a divisor on an arbitrary weighted looped graph is defined as
 the rank of its lift to the hat graph, where the classical definition
 applies: the largest k such that subtracting any effective divisor of
 degree k leaves something equivalent to an effective divisor.  Equivalence
-to an effective divisor is decided by a single reduction at a fixed base
-vertex (the first declared vertex): a class contains an effective divisor
-exactly when its base-reduced representative is non-negative at the base.
+to an effective divisor is decided by a single reduction at a base vertex:
+a class contains an effective divisor exactly when its base-reduced
+representative is non-negative at the base, whatever the base; debt is
+cheapest to clear at its own vertex, so ``_debt_base`` picks the base.
 
 Fast paths pick a starting level; one loop searches and certifies.  Level
 k holds the classes of D - e for the effective e of degree k, and the rank
@@ -43,7 +44,7 @@ from .divisor import (
 )
 from .errors import BudgetError, DomainError, InternalError
 from .graph import Graph, hat_graph, strip_weights_and_loops, subdivide_loops
-from .reduction import _reduce_indices, is_reduced, is_saturation, reduce_divisor, saturate
+from .reduction import _debt_base, _reduce_indices, is_reduced, is_saturation, reduce_divisor, saturate
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -91,7 +92,7 @@ def _check_budget(k: int, n: int, budget: int) -> int:
 
 
 def _expand_classes(
-    graph: Graph, previous: set[tuple[int, ...]]
+    graph: Graph, base: int, previous: set[tuple[int, ...]]
 ) -> Optional[set[tuple[int, ...]]]:
     """The base-reduced classes c - v for every class c in ``previous`` and
     every vertex v, or None at the first one that is negative at the base.
@@ -105,9 +106,9 @@ def _expand_classes(
         for v in range(n):
             child = list(c)
             child[v] -= 1
-            if v and child[v] < 0:
-                child, _ = _reduce_indices(graph, child, 0)
-            if child[0] < 0:
+            if v != base and child[v] < 0:
+                child, _ = _reduce_indices(graph, child, base)
+            if child[base] < 0:
                 return None
             children.add(tuple(child))
     return children
@@ -116,6 +117,7 @@ def _expand_classes(
 def _scan_level(
     graph: Graph,
     base_reduced: list[int],
+    base: int,
     k: int,
     budget: int,
     previous: Optional[set[tuple[int, ...]]] = None,
@@ -141,7 +143,7 @@ def _scan_level(
         # fails; the lex-smallest is all mass on the last vertex
         return (0,) * (n - 1) + (k,), None
     if previous is not None and len(previous) * n < count:
-        children = _expand_classes(graph, previous)
+        children = _expand_classes(graph, base, previous)
         if children is not None:
             return None, children
     # past this many classes, expanding them costs more than enumerating
@@ -151,8 +153,8 @@ def _scan_level(
     for e in iter_effective_values(k, n):
         vals = [a - b for a, b in zip(base_reduced, e)]
         if min(vals) < 0:
-            vals, _ = _reduce_indices(graph, vals, 0)
-            if vals[0] < 0:
+            vals, _ = _reduce_indices(graph, vals, base)
+            if vals[base] < 0:
                 return e, None
         # an effective vals is already base-reduced: subtracting e from a
         # base-reduced divisor makes no set avoiding the base fireable
@@ -163,12 +165,12 @@ def _scan_level(
     return None, classes
 
 
-def _certify(graph: Graph, lifted_values: tuple[int, ...], failing: tuple[int, ...]) -> Divisor:
+def _certify(graph: Graph, lifted: tuple[int, ...], base: int, failing: tuple[int, ...]) -> Divisor:
     """The failing tuple as a divisor, after re-running its check from the
     lifted values rather than their base-reduced representative."""
-    check = [a - b for a, b in zip(lifted_values, failing)]
-    reduced, _ = _reduce_indices(graph, check, 0)
-    if reduced[0] >= 0:
+    check = [a - b for a, b in zip(lifted, failing)]
+    reduced, _ = _reduce_indices(graph, check, base)
+    if reduced[base] >= 0:
         raise InternalError("witness failed its certification re-run")
     return Divisor(graph, failing)
 
@@ -189,7 +191,8 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     embedding = hat_graph(graph)
     hat = embedding.target
     lifted = lift_divisor(embedding, divisor)
-    base_reduced, _ = _reduce_indices(hat, list(lifted.values), 0)
+    base = _debt_base(lifted.values)
+    base_reduced, _ = _reduce_indices(hat, list(lifted.values), base)
 
     method, k = METHOD_EXHAUSTIVE, 0
     if not exhaustive:
@@ -197,16 +200,16 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
             d0 = divisor.values[0]
             method = METHOD_FORMULA
             k = rank_for_degree(d0, graph.local_genus(graph.vertex_ids[0])) + 1 if d0 >= 0 else 0
-        elif base_reduced[0] < 0:
+        elif base_reduced[base] < 0:
             method = METHOD_REDUCED_NEGATIVE
         elif divisor.is_effective and rank_explicit_vertex(divisor) is not None:
             method, k = METHOD_RANK_EXPLICIT, rank_lower_bound(divisor) + 1
 
     classes = None
     while True:
-        failing, classes = _scan_level(hat, base_reduced, k, budget, classes)
+        failing, classes = _scan_level(hat, base_reduced, base, k, budget, classes)
         if failing is not None:
-            return RankResult(k - 1, _certify(hat, lifted.values, failing), method)
+            return RankResult(k - 1, _certify(hat, lifted.values, base, failing), method)
         if method != METHOD_EXHAUSTIVE:
             raise InternalError("no failing divisor found one degree above the computed rank")
         k += 1
@@ -225,8 +228,9 @@ def rank_geq(
     graph.require_connected("rank_geq")
     if k < 0:
         raise DomainError("rank_geq needs k >= 0")
-    base_reduced, _ = _reduce_indices(graph, list(divisor.values), 0)
-    failing, _ = _scan_level(graph, base_reduced, k, budget)
+    base = _debt_base(divisor.values)
+    base_reduced, _ = _reduce_indices(graph, list(divisor.values), base)
+    failing, _ = _scan_level(graph, base_reduced, base, k, budget)
     if failing is None:
         return True, None
     return False, Divisor(graph, failing)
@@ -242,10 +246,10 @@ def _iter_rank_explicit(divisor: Divisor) -> Iterator[str]:
             if capacity[i] == floor_value and is_reduced(divisor, v):
                 yield v
         return
-    first = graph.vertex_ids[0]
-    reduced, _ = reduce_divisor(divisor, first)
-    if reduced.values[0] < 0:
-        yield first
+    base = _debt_base(divisor.values)
+    reduced, _ = reduce_divisor(divisor, graph.vertex_ids[base])
+    if reduced.values[base] < 0:
+        yield graph.vertex_ids[0]
 
 
 def rank_explicit_vertices(divisor: Divisor) -> tuple[str, ...]:
@@ -254,7 +258,7 @@ def rank_explicit_vertices(divisor: Divisor) -> tuple[str, ...]:
     An effective divisor qualifies at u when it is u-reduced and its rank
     capacity at u attains the global minimum; its rank then equals that
     minimum.  A non-effective divisor qualifies only through the rank -1
-    test: the base-reduced representative being negative at the base.
+    test (no effective representative), reported at the first vertex.
     """
     return tuple(_iter_rank_explicit(divisor))
 
@@ -287,8 +291,8 @@ def rank_lower_bound_certified(
         vals = [dvals[i] - degree_for_rank(e[i], local[i]) for i in range(n)]
         if min(vals) >= 0:
             continue
-        reduced, _ = _reduce_indices(graph, vals, 0)
-        if reduced[0] < 0:
+        base = _debt_base(vals)
+        if _reduce_indices(graph, vals, base)[0][base] < 0:
             return False
     return True
 

@@ -30,7 +30,7 @@ from .divisor import (
     rank_for_degree,
     rank_lower_bound,
 )
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .graph import Graph, hat_graph, strip_weights_and_loops, subdivide_loops
 from .oracle import (
     BRUTE_RANK_MAX_DEGREE,
@@ -186,7 +186,7 @@ class _Sweep:
             if _instance_cost(graph, divisor) <= cfg.cost_cap:
                 return graph, divisor
             self.report.resampled += 1
-        raise InternalError("sweep generator failed to produce an affordable instance")
+        raise DomainError(f"none of 1000 drawn instances fits cost_cap={cfg.cost_cap}")
 
     # -- the battery -----------------------------------------------------
 

@@ -301,6 +301,21 @@ def test_cli_domain_errors_exit_one(dhar5_file, tmp_path, capsys):
     assert "'v1'" in capsys.readouterr().err
 
 
+def test_cli_empty_graph_exits_one(tmp_path, capsys):
+    empty = str(tmp_path / "empty.graph")
+    (tmp_path / "empty.graph").write_text("# no vertices\n")
+    for argv in (
+        ["rank", empty, "-d", ""],
+        ["rr-check", empty, "-d", ""],
+        ["clifford", empty, "-d", ""],
+        ["equiv", empty, "-d", "", "-e", ""],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "requires a connected graph" in captured.err
+
+
 def test_cli_graph_file_not_utf8_exits_one(tmp_path, capsys):
     path = tmp_path / "latin1.graph"
     path.write_bytes("v caf\xe9\n".encode("latin-1"))
@@ -369,3 +384,11 @@ def test_cli_sweep_bad_options_exit_one(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: sweep needs ")
+
+
+def test_sweep_cost_cap_too_small_is_a_domain_error():
+    # no fixed floor works: every instance costs at least 7, and cap 7
+    # still rejects every draw at seed 3
+    for cap, seed in ((0, 0), (7, 3)):
+        with pytest.raises(cf.DomainError, match=f"cost_cap={cap}"):
+            cf.run_sweep(cf.SweepConfig(trials=1, cost_cap=cap, seed=seed))

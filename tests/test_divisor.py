@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chipfire as cf
-from conftest import binary_graph, connected_graphs, graph_with_divisor
+from chipfire.oracle import _class_signature
+from conftest import binary_graph, connected_graphs, graph_with_divisor, seeded_instances
 
 
 # -- divisor basics ----------------------------------------------------------
@@ -129,7 +130,7 @@ def test_principal_script_requires_connected():
 
 def test_solver_determinant_counts_spanning_trees():
     # matrix-tree theorem: the fraction-free solve's determinant is tau(G)
-    from chipfire.divisor import _solve_reduced
+    from chipfire.oracle import _solve_reduced
 
     cycle = cf.Graph([f"c{i}" for i in range(7)], [(f"c{i}", f"c{(i + 1) % 7}") for i in range(7)])
     k5 = cf.Graph([f"k{i}" for i in range(5)], [(f"k{i}", f"k{j}") for i in range(5) for j in range(i)])
@@ -215,6 +216,24 @@ def test_equivalence_rejects_mismatched_graphs(dhar5):
         cf.equivalence_script(
             dhar5.divisors["example"], cf.Divisor(binary_graph(1), (0, 0))
         )
+
+
+def test_equivalence_agrees_with_the_oracle_signature():
+    # the engine decides equivalence by reduction, the oracle by its own
+    # fraction-free solve; half the pairs are moved off their class
+    principal = 0
+    for rng, graph, d2 in seeded_instances(71, 300, max_vertices=7, max_edges=12, max_value=4):
+        ids = graph.vertex_ids
+        d1 = d2 + cf.apply_script(cf.FiringScript(graph, [rng.randint(0, 3) for _ in ids]))
+        if rng.randrange(2):
+            d1 = d1 + cf.Divisor(graph, {rng.choice(ids): 1}) - cf.Divisor(graph, {rng.choice(ids): 1})
+        same = _class_signature(graph, list(d1.values)) == _class_signature(graph, list(d2.values))
+        script = cf.equivalence_script(d1, d2)
+        assert (script is not None) == same == cf.equivalent(d1, d2)
+        if script is not None:
+            assert d2 + cf.apply_script(script) == d1 and min(script.levels) == 0
+        principal += same
+    assert 100 < principal < 250
 
 
 # -- scalar maps -------------------------------------------------------------

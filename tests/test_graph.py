@@ -71,6 +71,23 @@ def test_genus_disconnected_uses_component_formula():
     assert g.genus() == 1  # 1 + 1 + 1 - 2
 
 
+def test_empty_graph_is_not_connected():
+    # connected means exactly one component, and the empty graph has none
+    g = cf.Graph([])
+    d = cf.Divisor(g, ())
+    assert g.components() == () and not g.is_connected
+    assert cf.Graph(["a"]).is_connected
+    for call in (
+        lambda: cf.rank(d),
+        lambda: cf.rank_geq(d, 0),
+        lambda: cf.brute_rank(d),
+        lambda: cf.equivalent(d, d),
+        lambda: cf.riemann_roch_residual(d),
+    ):
+        with pytest.raises(cf.DisconnectedError):
+            call()
+
+
 # -- valency -----------------------------------------------------------------
 
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import chipfire as cf
@@ -127,3 +130,23 @@ def test_brute_rank_matches_engine_smoke():
         assert cf.brute_rank(d) == cf.rank(d).rank
         checked += 1
     assert checked >= 30
+
+
+def test_oracle_shares_no_code_with_the_engine():
+    package = Path(cf.__file__).parent
+    imported = set()
+    for node in ast.walk(ast.parse((package / "oracle.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("chipfire." if node.level else "") + (node.module or "")
+            imported.add(module.rstrip("."))
+            imported.update(f"{module.rstrip('.')}.{alias.name}" for alias in node.names)
+    assert not imported & {"chipfire.reduction", "chipfire.rank"}, sorted(imported)
+    definers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_solve_reduced"
+    ]
+    assert definers == ["oracle.py"]

@@ -5,8 +5,7 @@ import random
 import pytest
 
 import chipfire as cf
-from chipfire.divisor import _solve_reduced
-from chipfire.oracle import BRUTE_RANK_MAX_DEGREE, BRUTE_RANK_MAX_VERTICES
+from chipfire.oracle import BRUTE_RANK_MAX_DEGREE, BRUTE_RANK_MAX_VERTICES, _solve_reduced
 from conftest import binary_graph, seeded_instances
 
 
@@ -190,26 +189,27 @@ def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
         enumerated.append(degree)
         return enumerate_level(degree, size)
 
-    def level_classes(graph, base_reduced, k):
-        base = graph.vertex_ids[0]
+    def level_classes(graph, base_reduced, base, k):
         return {
-            cf.reduce_divisor(cf.Divisor(graph, base_reduced) - cf.Divisor(graph, e), base)[0].values
+            cf.reduce_divisor(
+                cf.Divisor(graph, base_reduced) - cf.Divisor(graph, e), graph.vertex_ids[base]
+            )[0].values
             for e in enumerate_level(k, graph.vertex_count)
         }
 
-    def checked(graph, base_reduced, k, budget, previous=None):
+    def checked(graph, base_reduced, base, k, budget, previous=None):
         nonlocal decided_from_classes
         if graph not in spanning_trees:
             spanning_trees[graph] = _solve_reduced(graph, [0] * graph.vertex_count)[1]
         before = len(enumerated)
-        failing, classes = scan(graph, base_reduced, k, budget, previous)
+        failing, classes = scan(graph, base_reduced, base, k, budget, previous)
         if classes is not None:
-            assert classes == level_classes(graph, base_reduced, k)
+            assert classes == level_classes(graph, base_reduced, base, k)
             assert len(classes) <= spanning_trees[graph]
         if previous is not None:
             if failing is None and len(enumerated) == before:
                 decided_from_classes += 1
-            assert scan(graph, base_reduced, k, budget)[0] == failing
+            assert scan(graph, base_reduced, base, k, budget)[0] == failing
         return failing, classes
 
     # K4 with a path hung from v1: the path's vertices fall into v1's class,
@@ -278,6 +278,13 @@ def test_rank_explicit_non_effective(dhar5):
     assert not d.is_effective
     assert cf.rank(d).rank == 2
     assert cf.rank_explicit_vertices(d) == ()
+
+
+def test_rank_explicit_non_effective_reports_the_first_vertex(dhar5):
+    # the reduction runs where the debt is, but the certificate names v0
+    g = dhar5.graph
+    assert cf.rank_explicit_vertices(cf.Divisor(g, {"v3": -1})) == ("v0",)
+    assert cf.rank_explicit_vertex(cf.Divisor(g, {"v3": -2, "v4": 1})) == "v0"
 
 
 # -- certified lower bound ----------------------------------------------------
