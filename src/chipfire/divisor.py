@@ -156,11 +156,12 @@ class FiringScript(_VertexMap):
 
 
 def _laplacian_image(graph: Graph, levels: Sequence[int]) -> list[int]:
-    out = [0] * graph.vertex_count
-    for i in range(graph.vertex_count):
-        xi = levels[i]
-        for j, mult in graph._adj_items[i]:
-            out[i] += mult * (levels[j] - xi)
+    out = []
+    for row, degree, x in zip(graph._adj_items, graph._degrees, levels):
+        acc = -degree * x
+        for j, mult in row:
+            acc += mult * levels[j]
+        out.append(acc)
     return out
 
 
@@ -260,29 +261,25 @@ def rank_for_degree(degree: int, genus: int) -> int:
     return max(degree - genus, degree // 2)
 
 
+def _pointwise(divisor: Divisor, scalar_map, operation: str) -> Divisor:
+    """``scalar_map(value, local genus)`` at every vertex of an effective divisor."""
+    if not divisor.is_effective:
+        raise DomainError(f"{operation} is defined for effective divisors only")
+    g = divisor.graph
+    return Divisor(g, [scalar_map(x, g.local_genus(v)) for v, x in zip(g.vertex_ids, divisor.values)])
+
+
 def degree_demand(divisor: Divisor) -> Divisor:
     """Pointwise degree_for_rank against each vertex's local genus.
 
     On a weightless loopless graph this is the identity.
     """
-    if not divisor.is_effective:
-        raise DomainError("degree_demand is defined for effective divisors only")
-    g = divisor.graph
-    return Divisor(
-        g,
-        [degree_for_rank(x, g.local_genus(v)) for v, x in zip(g.vertex_ids, divisor.values)],
-    )
+    return _pointwise(divisor, degree_for_rank, "degree_demand")
 
 
 def rank_capacity(divisor: Divisor) -> Divisor:
     """Pointwise rank_for_degree against each vertex's local genus."""
-    if not divisor.is_effective:
-        raise DomainError("rank_capacity is defined for effective divisors only")
-    g = divisor.graph
-    return Divisor(
-        g,
-        [rank_for_degree(x, g.local_genus(v)) for v, x in zip(g.vertex_ids, divisor.values)],
-    )
+    return _pointwise(divisor, rank_for_degree, "rank_capacity")
 
 
 def rank_lower_bound(divisor: Divisor) -> int:

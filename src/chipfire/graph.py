@@ -30,6 +30,9 @@ class Graph:
     edges joining them; loops never contribute to it.  ``valency`` counts
     each loop twice, which is what makes the canonical divisor come out
     with total degree ``2*genus - 2``.
+
+    Per-graph tables (adjacency rows, vertex degrees) are computed once at
+    construction, which is safe because graphs are immutable.
     """
 
     __slots__ = (
@@ -39,6 +42,7 @@ class Graph:
         "_loops",
         "_adj",
         "_adj_items",
+        "_degrees",
         "_connected",
         "_hash",
         "_edge_count",
@@ -96,9 +100,10 @@ class Graph:
         self._loops = tuple(loops)
         self._adj = tuple(adj)
         self._adj_items = tuple(tuple(sorted(row.items())) for row in adj)
+        self._degrees = tuple(sum(row.values()) for row in adj)  # loops excluded
         self._connected: bool | None = None
         self._hash: int | None = None
-        self._edge_count = sum(sum(row.values()) for row in adj) // 2 + sum(loops)
+        self._edge_count = sum(self._degrees) // 2 + sum(loops)
 
     # -- basic structure ------------------------------------------------
 
@@ -164,7 +169,7 @@ class Graph:
     def valency(self, vertex: str) -> int:
         """Number of edge endpoints at the vertex; each loop contributes 2."""
         i = self.index(vertex)
-        return sum(self._adj[i].values()) + 2 * self._loops[i]
+        return self._degrees[i] + 2 * self._loops[i]
 
     # -- connectivity ---------------------------------------------------
 
@@ -237,11 +242,9 @@ class Graph:
         rows = []
         for i in range(n):
             row = [0] * n
-            diag = 0
             for j, mult in self._adj_items[i]:
                 row[j] = mult
-                diag += mult
-            row[i] = -diag
+            row[i] = -self._degrees[i]
             rows.append(tuple(row))
         return tuple(rows)
 
@@ -250,8 +253,8 @@ class Graph:
         from .divisor import Divisor
 
         values = [
-            sum(self._adj[i].values()) + 2 * self._loops[i] + 2 * self._weights[i] - 2
-            for i in range(len(self._ids))
+            deg + 2 * loops + 2 * weight - 2
+            for deg, loops, weight in zip(self._degrees, self._loops, self._weights)
         ]
         return Divisor(self, values)
 

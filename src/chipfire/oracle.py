@@ -208,30 +208,12 @@ def _three_component() -> Fixture:
     )
 
 
-def _binary(genus: int) -> Fixture:
-    if genus < 0:
-        raise DomainError("binary fixture needs genus >= 0")
-    graph = Graph(["v1", "v2"], [("v1", "v2", genus + 1)])
-    _check(f"binary({genus})", graph.genus() == genus, f"genus must be {genus}")
-    return Fixture(
-        name=f"binary({genus})",
-        graph=graph,
-        divisors={},
-        expected={"genus": genus},
-    )
-
-
-def _rose(genus: int) -> Fixture:
-    if genus < 0:
-        raise DomainError("rose fixture needs genus >= 0")
-    graph = Graph([("v", genus)])
-    _check(f"rose({genus})", graph.genus() == genus, f"genus must be {genus}")
-    return Fixture(
-        name=f"rose({genus})",
-        graph=graph,
-        divisors={},
-        expected={"genus": genus},
-    )
+def _parametric(kind: str, genus: int) -> Fixture:
+    """``binary(g)``: two vertices joined by g + 1 edges; ``rose(g)``: one vertex of weight g."""
+    name = f"{kind}({genus})"
+    graph = Graph(["v1", "v2"], [("v1", "v2", genus + 1)]) if kind == "binary" else Graph([("v", genus)])
+    _check(name, graph.genus() == genus, f"genus must be {genus}")
+    return Fixture(name=name, graph=graph, divisors={}, expected={"genus": genus})
 
 
 def _bullet_loop() -> Fixture:
@@ -264,6 +246,5 @@ def load_fixture(name: str) -> Fixture:
         return _bullet_loop()
     match = _PARAMETRIC.match(name)
     if match:
-        builder = _binary if match.group(1) == "binary" else _rose
-        return builder(int(match.group(2)))
+        return _parametric(match.group(1), int(match.group(2)))
     raise DomainError(f"unknown fixture {name!r}")

@@ -148,6 +148,9 @@ def _reduce_indices(
     ends below its degree if it borrows and only loses chips otherwise, so
     (D' - D)(w) <= deg(w) - 1 + debt(w), and every step borrows at least
     once: the steps number at most (n - 1)^2 sum(deg(w) - 1 + debt(w)).
+    The guard is read from the graph's degree table and the initial debt
+    off the base, (n - 1)^2 (sum(deg) - deg(base) - (n - 1) + debt), so
+    setting it up costs no pass over the edges.
 
     Phase 2 repeatedly burns from the base and fires the unburned set U as
     many times as every member can afford, ``t = min(d(v) // out(v))`` over
@@ -176,10 +179,11 @@ def _reduce_indices(
     levels = [0] * n
     adj_items = graph._adj_items
 
-    debtors = deque(v for v in range(n) if values[v] < 0 and v != base)
+    debtors = deque([v for v, x in enumerate(values) if x < 0 and v != base])
     if debtors:
-        degree = [sum(mult for _, mult in row) for row in adj_items]
-        guard = (n - 1) ** 2 * sum(degree[v] - 1 - min(values[v], 0) for v in range(n) if v != base)
+        degree = graph._degrees
+        debt = -sum(values[v] for v in debtors)
+        guard = (n - 1) ** 2 * (sum(degree) - degree[base] - (n - 1) + debt)
         while debtors:
             v = debtors.popleft()  # still in debt: only its own borrowing adds chips
             times = (degree[v] - 1 - values[v]) // degree[v]

@@ -76,6 +76,9 @@ class SweepConfig:
             value = getattr(self, name)
             if value < low:
                 raise DomainError(f"sweep needs {name} >= {low}, got {value}")
+        if self.max_edges < self.max_vertices - 1:  # every instance has a spanning tree
+            low = self.max_vertices - 1
+            raise DomainError(f"sweep needs max_edges >= max_vertices - 1 = {low}, got {self.max_edges}")
 
 
 @dataclass

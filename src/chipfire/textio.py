@@ -25,6 +25,20 @@ from .graph import Graph
 
 _ID = re.compile(r"[A-Za-z0-9_-]+\Z")
 _INT = re.compile(r"[+-]?\d+\Z")
+_SHOWN = 40  # longest token quoted in full in an error message
+
+
+def _int(token: str, what: str, owner: str, line: int | None = None) -> int:
+    """The integer a token spells, else ``ParseError``; a token past the
+    int-string limit is refused too, and a long token is shortened."""
+    if _INT.match(token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    shown = repr(token) if len(token) <= _SHOWN else f"{token[:_SHOWN]!r}... ({len(token)} characters)"
+    reason = ": too many digits" if _INT.match(token) else ""
+    raise ParseError(f"bad {what} {shown} for {owner}{reason}", line)
 
 
 @dataclass(frozen=True)
@@ -58,9 +72,7 @@ def parse_graph(text: str) -> GraphDocument:
                 )
             weight = 0
             if len(tokens) == 3:
-                if not _INT.match(tokens[2]):
-                    raise ParseError(f"bad weight {tokens[2]!r} for vertex {vid!r}", lineno)
-                weight = int(tokens[2])
+                weight = _int(tokens[2], "weight", f"vertex {vid!r}", lineno)
                 if weight < 0:
                     raise ParseError(f"negative weight {weight} for vertex {vid!r}", lineno)
             vertex_lines[vid] = lineno
@@ -76,9 +88,7 @@ def parse_graph(text: str) -> GraphDocument:
                     raise ParseError(f"edge endpoint {endpoint!r} is not declared", lineno)
             mult = 1
             if len(tokens) == 4:
-                if not _INT.match(tokens[3]):
-                    raise ParseError(f"bad multiplicity {tokens[3]!r} for edge {a!r}-{b!r}", lineno)
-                mult = int(tokens[3])
+                mult = _int(tokens[3], "multiplicity", f"edge {a!r}-{b!r}", lineno)
                 if mult < 1:
                     raise ParseError(f"multiplicity {mult} for edge {a!r}-{b!r}; must be >= 1", lineno)
             edges.append((a, b, mult))
@@ -115,9 +125,7 @@ def parse_divisor(text: str, graph: Graph) -> Divisor:
             raise ParseError(f"unknown vertex id {vid!r} in divisor literal")
         if vid in values:
             raise ParseError(f"duplicate vertex id {vid!r} in divisor literal")
-        if not _INT.match(num):
-            raise ParseError(f"bad integer {num!r} for vertex {vid!r}")
-        values[vid] = int(num)
+        values[vid] = _int(num, "integer", f"vertex {vid!r}")
     return Divisor(graph, values)
 
 

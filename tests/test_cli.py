@@ -104,6 +104,28 @@ def test_parse_divisor_literals(dhar5):
         assert bad.split("=")[0].split(",")[0] in str(info.value)
 
 
+def test_huge_integers_are_parse_errors(tmp_path, capsys):
+    # longer than the interpreter's int-string limit: refused by the parser,
+    # with the token shortened in the message
+    huge = "9" * 5000
+    for text in (f"v a {huge}\n", f"v a\nv b\ne a b {huge}\n"):
+        with pytest.raises(cf.ParseError, match=r"too many digits") as info:
+            cf.parse_graph(text)
+        assert info.value.line == text.count("\n")
+        assert len(str(info.value)) < 200
+    path = tmp_path / "ab.graph"
+    path.write_text("v a\nv b\ne a b\n")
+    assert main(["reduce", str(path), "-d", f"a={huge}", "-u", "b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad integer '{huge[:40]}'... (5000 characters) for vertex 'a': too many digits\n"
+    path.write_text(f"v a {huge}\n")
+    assert main(["genus", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: bad weight '9999")
+    with pytest.raises(cf.ParseError, match=r"^bad integer 'x9+'\.\.\. \(5001 characters\) for vertex 'a'$"):
+        cf.parse_divisor(f"a=x{huge}", cf.Graph(["a"]))
+
+
 def test_render_divisor(dhar5):
     d = dhar5.divisors["example"]
     assert cf.render_divisor(d) == "v1=1,v2=2,v3=4,v4=4"
@@ -367,9 +389,14 @@ def test_sweep_config_rejects_out_of_range_fields():
         ("max_edges", -1),
         ("max_weight", -2),
         ("max_value", -1),
+        ("max_edges", 4),  # fewer than a spanning tree on 6 vertices needs
+        ("max_vertices", 20),
     ):
         with pytest.raises(cf.DomainError, match=field):
             cf.SweepConfig(**{field: value})
+    with pytest.raises(cf.DomainError, match="max_edges >= max_vertices - 1 = 5, got 2"):
+        cf.SweepConfig(max_edges=2)
+    cf.SweepConfig()
     cf.SweepConfig(trials=0, max_vertices=1, max_edges=0, max_weight=0, max_value=0)
 
 
@@ -379,6 +406,8 @@ def test_cli_sweep_bad_options_exit_one(capsys):
         ("--trials", "-1"),
         ("--max-edges", "-1"),
         ("--max-weight", "-1"),
+        ("--max-edges", "2"),
+        ("--vertices", "20"),  # the default --max-edges 12 cannot span 20 vertices
     ):
         assert main(["sweep", option, value]) == 1
         captured = capsys.readouterr()

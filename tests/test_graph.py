@@ -305,10 +305,27 @@ def test_valency_sum_is_twice_edges(g):
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs())
 def test_laplacian_row_and_column_sums_vanish(g):
-    lap = g.laplacian()
-    n = g.vertex_count
-    assert all(sum(row) == 0 for row in lap)
-    assert all(sum(lap[i][j] for i in range(n)) == 0 for j in range(n))
+    ids = g.vertex_ids
+    derived = (
+        cf.hat_graph(g).target,
+        cf.strip_weights_and_loops(g),
+        cf.subdivide_loops(g)[0],
+        g.with_extra_edges([(ids[0], ids[-1]), (ids[-1], ids[-1], 2)]),
+    )
+    for h in (g, *derived):
+        lap = h.laplacian()
+        n = h.vertex_count
+        assert all(sum(row) == 0 for row in lap)
+        assert all(sum(lap[i][j] for i in range(n)) == 0 for j in range(n))
+        # the degree table built at construction agrees with the edge list
+        ends = [0] * n
+        for (a, b), mult in h.edge_items():
+            if a != b:
+                ends[h.index(a)] += mult
+                ends[h.index(b)] += mult
+        for i, v in enumerate(h.vertex_ids):
+            assert h._degrees[i] == ends[i] == -lap[i][i]
+            assert h.valency(v) == h._degrees[i] + 2 * h.loop_count(v)
 
 
 @settings(max_examples=40, deadline=None)

@@ -231,6 +231,26 @@ def test_reduce_is_class_stable(monkeypatch):
     assert min(firings) >= 1 and max(firings) > 1  # phase 2 fired in bulk
 
 
+def _cycle(n):
+    ids = [f"v{i}" for i in range(n)]
+    return cf.Graph(ids, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
+
+
+def test_debt_clearing_guard_trips_on_a_broken_degree_table():
+    # with every degree halved a borrow gains one chip while its two
+    # neighbours lose one each, so chips vanish and the debt never clears
+    g = _cycle(5)
+    g._degrees = (1,) * 5
+    with pytest.raises(cf.InternalError, match="debt clearing did not terminate"):
+        chipfire.reduction._reduce_indices(g, [0, 0, -3, 0, 0], 0)
+
+
+def test_firing_guard_trips_when_a_round_moves_nothing(monkeypatch):
+    monkeypatch.setattr(chipfire.reduction, "_fire_indices", lambda graph, values, members: 0)
+    with pytest.raises(cf.InternalError, match="reduction did not terminate"):
+        chipfire.reduction._reduce_indices(_cycle(5), [0, 2, 0, 0, 0], 0)
+
+
 # -- saturation ---------------------------------------------------------------
 
 
