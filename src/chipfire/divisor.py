@@ -136,8 +136,9 @@ class FiringScript(_VertexMap):
         return self._values
 
     def normalized(self) -> "FiringScript":
-        """The equivalent script with minimum level zero (the canonical form)."""
-        lo = min(self._values)
+        """The equivalent script with minimum level zero (the canonical form);
+        the empty script of the empty graph is its own."""
+        lo = min(self._values, default=0)
         if lo == 0:
             return self
         return FiringScript(self._graph, [v - lo for v in self._values])
@@ -287,6 +288,8 @@ def rank_lower_bound(divisor: Divisor) -> int:
 
     Always a valid lower bound for the combinatorial rank.
     """
+    if not divisor.values:
+        raise DomainError("rank_lower_bound needs a graph with at least one vertex")
     if not divisor.is_effective:
         return -1
     return min(rank_capacity(divisor).values)

@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def quoted(text: str) -> str:
+    """``repr(text)`` for an error message, cut to 40 characters when longer."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 class ChipfireError(Exception):
     """Base class for every error raised by this package."""
 

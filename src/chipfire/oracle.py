@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .divisor import Divisor, fire_set, iter_effective_values
-from .errors import BudgetError, DomainError, FixtureError, InternalError
+from .errors import BudgetError, DomainError, FixtureError, InternalError, quoted
 from .graph import Graph
 
 BRUTE_RANK_MAX_VERTICES = 6
@@ -246,5 +246,9 @@ def load_fixture(name: str) -> Fixture:
         return _bullet_loop()
     match = _PARAMETRIC.match(name)
     if match:
-        return _parametric(match.group(1), int(match.group(2)))
-    raise DomainError(f"unknown fixture {name!r}")
+        try:
+            genus = int(match.group(2))
+        except ValueError:  # past the interpreter's int-string limit
+            raise DomainError(f"genus too large in fixture {quoted(name)}") from None
+        return _parametric(match.group(1), genus)
+    raise DomainError(f"unknown fixture {quoted(name)}")

@@ -353,29 +353,26 @@ def binary_rank(genus: int, a: int, b: int) -> int:
     genus + 1 parallel edges.
 
     Representatives shift by multiples of genus + 1 between the two
-    coordinates.  With an effective representative normalized to
-    0 <= a <= b, the rank is a when b <= genus and a + b - genus when
-    b >= genus + 1; with no effective representative it is -1.  The case
-    value is unique: a representative with both entries at most genus is
-    the only effective one (any shift makes an entry negative), and every
-    other effective representative gives degree - genus.
+    coordinates, so an effective one exists exactly when the degree is at
+    least ``a mod (genus + 1)``; otherwise the rank is -1.  With an
+    effective representative normalized to 0 <= a <= b, the rank is a when
+    b <= genus and a + b - genus when b >= genus + 1.  The case value is
+    unique: a representative with both entries at most genus is the only
+    effective one (any shift makes an entry negative), and every other
+    effective representative gives degree - genus.  It is read at first
+    entry ``a mod (genus + 1)`` and checked at second entry
+    ``b mod (genus + 1)``.
     """
     if genus < 0:
         raise DomainError("binary_rank needs genus >= 0")
     period = genus + 1
-    if a + b < 0:
+    degree = a + b
+    if degree < a % period:
         return -1
-    shift_lo = -(b // period)
-    shift_hi = a // period
     values = set()
-    for shift in range(shift_lo, shift_hi + 1):
-        x, y = a - shift * period, b + shift * period
-        if x < 0 or y < 0:
-            continue
-        lo, hi = sorted((x, y))
+    for x in (a % period, degree - b % period):
+        lo, hi = sorted((x, degree - x))
         values.add(lo if hi <= genus else lo + hi - genus)
-    if not values:
-        return -1
     if len(values) > 1:
         raise InternalError(f"binary_rank case values disagree across representatives: {values}")
     return values.pop()

@@ -6,6 +6,9 @@ divisors.  A divisor is reduced with respect to a base vertex u when it is
 effective away from u and the fire started at u consumes every vertex.
 Every divisor class has exactly one u-reduced representative, which is what
 makes a single burn-and-check decide equivalence to an effective divisor.
+
+The fire spreads only in ``_burn``; its ``room`` list gives Dhar's layers,
+reducedness (``max(room) < 0``) and the firing rule of a reduction.
 """
 
 from __future__ import annotations
@@ -44,86 +47,70 @@ class DharDecomposition:
         return frozenset(out)
 
 
-def _dhar_indices(
-    graph: Graph, values: list[int], base: int
-) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Run the burning game from ``base``; loops and weights play no part.
+def _burn(graph: Graph, values: Sequence[int], base: int) -> list[int]:
+    """Play the burning game from ``base``; loops and weights play no part.
 
-    Returns the layers (day 0 is the base alone) and the unburned vertices,
-    all as ascending index tuples.  ``values`` is read, never written, and
-    must be non-negative off the base.  A vertex burns once its chips fall
-    short of its edges into the burned region, and that edge count grows
-    only when a neighbour burns; so day j+1 is found among the neighbours
-    of day j alone, and each edge is looked at once from each end that
-    burns (Dhar 1990).
+    Returns ``room``: a vertex burned on day j holds ``-1 - j`` (day 0 is
+    the base alone), an unburned one its chips minus its edges into the
+    burned region (>= 0).  ``values`` is read, never written, and must be
+    non-negative off the base.  A vertex burns once its chips fall short of
+    its edges into the burned region, a count that grows only when a
+    neighbour burns, so each edge is looked at once from each end that
+    burns (Dhar 1990).  ``order`` is FIFO, so vertices are taken in
+    nondecreasing day order, and a w that burns while v of day j is taken
+    burns exactly on day j + 1: it had room against every earlier day and
+    falls short against part of day j's region.
     """
-    adj_items = graph._adj_items
-    room = list(values)  # chips minus edges into the burned region
-    room[base] = -1
-    layers: list[tuple[int, ...]] = []
-    day = [base]
-    while day:
-        layers.append(tuple(day))
-        nxt = []
-        for v in day:
-            for w, mult in adj_items[v]:
-                r = room[w]
-                if r >= 0:
-                    r -= mult
-                    room[w] = r
-                    if r < 0:  # burns on the next day
-                        nxt.append(w)
-        day = sorted(nxt)
-    return layers, tuple(v for v, r in enumerate(room) if r >= 0)
-
-
-def _burn(graph: Graph, values: list[int], base: int) -> tuple[int, ...]:
-    """The unburned remainder of the game, without layer bookkeeping: the
-    same fire, on the same ``values``, spread from a worklist instead of
-    day by day."""
     adj_items = graph._adj_items
     room = list(values)
     room[base] = -1
-    stack = [base]
-    left = len(room) - 1
-    while stack:
-        for w, mult in adj_items[stack.pop()]:
+    order = [base]
+    for v in order:
+        day = room[v] - 1  # the day after v's
+        for w, mult in adj_items[v]:
             r = room[w]
             if r >= 0:
                 r -= mult
-                room[w] = r
                 if r < 0:
-                    stack.append(w)
-                    left -= 1
-    if not left:
-        return ()
-    return tuple(v for v, r in enumerate(room) if r >= 0)
+                    room[w] = day
+                    order.append(w)
+                else:
+                    room[w] = r
+    return room
 
 
-def _fire_indices(graph: Graph, values: list[int], members: tuple[int, ...]) -> int:
-    """Fire a vertex set in place as many times as every member can afford.
+def _dhar_indices(
+    graph: Graph, values: Sequence[int], base: int
+) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """The burn's days grouped into layers (day 0 is the base alone) and
+    the unburned vertices, all as ascending index tuples: ``_burn`` read in
+    vertex order."""
+    room = _burn(graph, values, base)
+    layers: list[list[int]] = [[] for _ in range(-min(room))]
+    for v, r in enumerate(room):
+        if r < 0:
+            layers[-1 - r].append(v)
+    return [tuple(layer) for layer in layers], tuple(v for v, r in enumerate(room) if r >= 0)
 
-    Each firing sends one chip along every edge leaving the set, so member v
-    loses ``out(v)`` chips per firing; the set fires
-    ``t = min(values[v] // out(v))`` times over the members with
-    ``out(v) > 0``, which leaves every member non-negative.  Returns ``t``.
-    Needs at least one edge leaving the set.
+
+def _fire_indices(graph: Graph, values: list[int], room: list[int], members: list[int]) -> int:
+    """Fire the unburned set of a burn in place as many times as every
+    member can afford, and return that number t.
+
+    ``room`` is ``_burn``'s result for these ``values`` and ``members`` the
+    vertices it left unburned, so a neighbour w is outside the set exactly
+    when ``room[w] < 0`` and member v has ``out(v) = values[v] - room[v]``
+    edges leaving it.  Each firing costs v ``out(v)`` chips, so
+    ``t = min(values[v] // out(v))`` over the members with ``out(v) > 0``
+    leaves every member non-negative.  Needs an edge leaving the set.
     """
-    inside = set(members)
-    outs: list[int] = []
-    crossing: list[tuple[int, int]] = []
+    adj_items = graph._adj_items
+    times = min(values[v] // (values[v] - room[v]) for v in members if values[v] > room[v])
     for v in members:
-        out = 0
-        for w, mult in graph._adj_items[v]:
-            if w not in inside:
-                out += mult
-                crossing.append((w, mult))
-        outs.append(out)
-    times = min(values[v] // out for v, out in zip(members, outs) if out)
-    for v, out in zip(members, outs):
-        values[v] -= out * times
-    for w, mult in crossing:
-        values[w] += mult * times
+        values[v] -= (values[v] - room[v]) * times
+        for w, mult in adj_items[v]:
+            if room[w] < 0:
+                values[w] += mult * times
     return times
 
 
@@ -155,10 +142,11 @@ def _reduce_indices(
     Phase 2 repeatedly burns from the base and fires the unburned set U as
     many times as every member can afford, ``t = min(d(v) // out(v))`` over
     the members with ``out(v) > 0``, where ``out(v)`` counts the edges from
-    v leaving U (Baker-Shokrieh, arXiv:1107.1313).  Surviving the burn
-    means ``d(v) >= out(v)``, so ``t >= 1``, and after t firings every
-    member still holds ``d(v) - t * out(v) >= 0``: effectivity off the base
-    is preserved.  A lone pile on a cycle or a complete graph then moves in
+    v leaving U (Baker-Shokrieh, arXiv:1107.1313), read from the burn's
+    ``room`` as ``d(v) - room(v)``.  Surviving the burn means
+    ``d(v) >= out(v)``, so ``t >= 1``, and after t firings every member
+    still holds ``d(v) - t * out(v) >= 0``: effectivity off the base is
+    preserved.  A lone pile on a cycle or a complete graph then moves in
     a few rounds, but the poorest member sets t, so several piles, or one
     on a grid, can still need rounds in proportion to their chips.
 
@@ -200,11 +188,12 @@ def _reduce_indices(
     guard = (n - 1) ** 2 * (sum(values) - values[base])
     rounds = 0
     while True:
-        unburned = _burn(graph, values, base)
-        if not unburned:
+        room = _burn(graph, values, base)
+        if max(room) < 0:
             break
+        unburned = [v for v, r in enumerate(room) if r >= 0]
         rounds += 1
-        times = _fire_indices(graph, values, unburned)
+        times = _fire_indices(graph, values, room, unburned)
         if times < 1 or rounds > guard:
             raise InternalError("reduction did not terminate within its step guard")
         for v in unburned:
@@ -243,7 +232,7 @@ def dhar(divisor: Divisor, base: str) -> DharDecomposition:
     """
     graph = divisor.graph
     u = _checked_effective_off_base(divisor, base, "dhar")
-    layers, unburned = _dhar_indices(graph, list(divisor.values), u)
+    layers, unburned = _dhar_indices(graph, divisor.values, u)
     ids = graph.vertex_ids
     return DharDecomposition(
         layers=tuple(frozenset(ids[v] for v in layer) for layer in layers),
@@ -258,7 +247,7 @@ def is_reduced(divisor: Divisor, base: str) -> bool:
     u = _checked_base(divisor, base, "is_reduced")
     if any(x < 0 for v, x in enumerate(divisor.values) if v != u):
         return False
-    return not _burn(graph, list(divisor.values), u)
+    return max(_burn(graph, divisor.values, u)) < 0
 
 
 def reduce_divisor(divisor: Divisor, base: str) -> tuple[Divisor, FiringScript]:
@@ -290,11 +279,11 @@ def saturate(divisor: Divisor, base: str) -> tuple[Graph, int]:
     u = _checked_effective_off_base(divisor, base, "saturate")
     extra = [
         (base, graph.vertex_ids[v], divisor.values[v])
-        for v in _burn(graph, list(divisor.values), u)
-        if divisor.values[v] > 0
+        for v, r in enumerate(_burn(graph, divisor.values, u))
+        if r >= 0 and divisor.values[v] > 0
     ]
     saturated = graph.with_extra_edges(extra) if extra else graph
-    if _burn(saturated, list(divisor.values), u):
+    if max(_burn(saturated, divisor.values, u)) >= 0:
         raise InternalError("saturation recipe left vertices unburned")
     return saturated, sum(mult for _, _, mult in extra)
 

@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .divisor import Divisor, FiringScript
-from .errors import ParseError
+from .errors import ParseError, quoted
 from .graph import Graph
 
 _ID = re.compile(r"[A-Za-z0-9_-]+\Z")
 _INT = re.compile(r"[+-]?\d+\Z")
-_SHOWN = 40  # longest token quoted in full in an error message
 
 
 def _int(token: str, what: str, owner: str, line: int | None = None) -> int:
@@ -36,9 +35,8 @@ def _int(token: str, what: str, owner: str, line: int | None = None) -> int:
             return int(token)
         except ValueError:
             pass
-    shown = repr(token) if len(token) <= _SHOWN else f"{token[:_SHOWN]!r}... ({len(token)} characters)"
     reason = ": too many digits" if _INT.match(token) else ""
-    raise ParseError(f"bad {what} {shown} for {owner}{reason}", line)
+    raise ParseError(f"bad {what} {quoted(token)} for {owner}{reason}", line)
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def parse_graph(text: str) -> GraphDocument:
             if len(tokens) == 3:
                 weight = _int(tokens[2], "weight", f"vertex {vid!r}", lineno)
                 if weight < 0:
-                    raise ParseError(f"negative weight {weight} for vertex {vid!r}", lineno)
+                    raise ParseError(f"negative weight {quoted(tokens[2])} for vertex {vid!r}", lineno)
             vertex_lines[vid] = lineno
             vertices.append((vid, weight))
         elif kind == "e":
@@ -90,7 +88,9 @@ def parse_graph(text: str) -> GraphDocument:
             if len(tokens) == 4:
                 mult = _int(tokens[3], "multiplicity", f"edge {a!r}-{b!r}", lineno)
                 if mult < 1:
-                    raise ParseError(f"multiplicity {mult} for edge {a!r}-{b!r}; must be >= 1", lineno)
+                    raise ParseError(
+                        f"multiplicity {quoted(tokens[3])} for edge {a!r}-{b!r}; must be >= 1", lineno
+                    )
             edges.append((a, b, mult))
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno)

@@ -120,6 +120,9 @@ def test_criterion_5_binary_graphs():
                     assert cf.rank(d).rank == closed_form
                     assert cf.rank(d, exhaustive=True).rank == closed_form
         assert cf.rank(cf.Divisor(binary_graph(1), (0, 2))).rank == 1
+    with _Timer("binary_rank with 2 * 10^12 chips", 0.1):
+        assert cf.binary_rank(0, 10**12, 10**12) == 2 * 10**12
+        assert cf.binary_rank(7, -(10**12), 10**12 + 3) == 0
 
 
 def test_criterion_6_rose_formula():

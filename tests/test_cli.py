@@ -124,6 +124,18 @@ def test_huge_integers_are_parse_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 1: bad weight '9999")
     with pytest.raises(cf.ParseError, match=r"^bad integer 'x9+'\.\.\. \(5001 characters\) for vertex 'a'$"):
         cf.parse_divisor(f"a=x{huge}", cf.Graph(["a"]))
+    # in range of int() but not of the field: the same cut
+    nines = "9" * 4000
+    for text, message in (
+        (f"v a -{nines}\n", f"line 1: negative weight '-{nines[:39]}'... (4001 characters) for vertex 'a'"),
+        (
+            f"v a\nv b\ne a b -{nines}\n",
+            f"line 3: multiplicity '-{nines[:39]}'... (4001 characters) for edge 'a'-'b'; must be >= 1",
+        ),
+    ):
+        with pytest.raises(cf.ParseError) as info:
+            cf.parse_graph(text)
+        assert str(info.value) == message
 
 
 def test_render_divisor(dhar5):

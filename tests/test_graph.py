@@ -86,6 +86,10 @@ def test_empty_graph_is_not_connected():
     ):
         with pytest.raises(cf.DisconnectedError):
             call()
+    with pytest.raises(cf.DomainError):
+        cf.rank_lower_bound(d)
+    empty_script = cf.FiringScript(g, ())
+    assert empty_script.normalized() is empty_script
 
 
 # -- valency -----------------------------------------------------------------

@@ -95,6 +95,11 @@ def test_load_unknown_fixture():
         cf.load_fixture("nonesuch")
     with pytest.raises(cf.DomainError):
         cf.load_fixture("binary(-1)")
+    # digits past the interpreter's int-string limit, name shortened in the message
+    for huge in ("rose(" + "9" * 5000 + ")", "x" * 5000):
+        with pytest.raises(cf.DomainError, match=r"'\.\.\. \(50\d\d characters\)$") as info:
+            cf.load_fixture(huge)
+        assert len(str(info.value)) < 200
 
 
 def test_fixture_expected_values_reproduce():

@@ -418,8 +418,8 @@ def test_binary_rank_trees():
 
 
 def test_binary_rank_agrees_with_shifted_representatives():
-    # binary_rank also raises InternalError if two effective representatives
-    # of one class ever gave different case values
+    # binary_rank also raises InternalError if its two representatives of
+    # one class ever gave different case values
     for genus in range(10):
         period = genus + 1
         for a in range(-25, 26):
@@ -427,6 +427,13 @@ def test_binary_rank_agrees_with_shifted_representatives():
                 value = cf.binary_rank(genus, a, b)
                 assert value == cf.binary_rank(genus, a - period, b + period)
                 assert value == cf.binary_rank(genus, b, a)  # swap symmetry
+    # negative entries against the exhaustive search, which uses no closed form
+    for genus in range(4):
+        g = binary_graph(genus)
+        for a in range(-2 * genus - 3, 1):
+            for b in range(-a - 1, -a + 2 * genus + 3):
+                expected = cf.rank(cf.Divisor(g, (a, b)), exhaustive=True).rank
+                assert cf.binary_rank(genus, a, b) == expected
 
 
 # -- comparisons --------------------------------------------------------------

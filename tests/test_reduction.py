@@ -133,7 +133,8 @@ def _check_dhar_layers(graph, effective_off, base):
     dec = cf.dhar(effective_off, base)
     u = graph.index(base)
     layers, unburned = _dhar_indices(graph, list(effective_off.values), u)
-    assert _burn(graph, list(effective_off.values), u) == unburned
+    room = _burn(graph, list(effective_off.values), u)
+    assert tuple(v for v, r in enumerate(room) if r >= 0) == unburned
     assert dec.unburned == frozenset(graph.vertex_ids[v] for v in unburned)
     assert all(list(layer) == sorted(layer) for layer in layers)
     burned: set[str] = set()
@@ -150,6 +151,12 @@ def _check_dhar_layers(graph, effective_off, base):
         burned |= layer
     for v in dec.unburned:
         assert effective_off[v] >= graph.intersection({v}, burned)
+    # room: -1 - day when burned, chips minus edges into the burned region when not
+    for j, layer in enumerate(layers):
+        assert all(room[v] == -1 - j for v in layer)
+    for v in unburned:
+        vid = graph.vertex_ids[v]
+        assert room[v] == effective_off[vid] - graph.intersection({vid}, burned)
 
 
 # -- reduce -------------------------------------------------------------------
@@ -205,8 +212,8 @@ def test_reduce_rejects_disconnected():
 def test_reduce_is_class_stable(monkeypatch):
     firings = []
 
-    def recording_fire(graph, values, members):
-        firings.append(_fire_indices(graph, values, members))
+    def recording_fire(graph, values, room, members):
+        firings.append(_fire_indices(graph, values, room, members))
         return firings[-1]
 
     monkeypatch.setattr(chipfire.reduction, "_fire_indices", recording_fire)
@@ -246,7 +253,7 @@ def test_debt_clearing_guard_trips_on_a_broken_degree_table():
 
 
 def test_firing_guard_trips_when_a_round_moves_nothing(monkeypatch):
-    monkeypatch.setattr(chipfire.reduction, "_fire_indices", lambda graph, values, members: 0)
+    monkeypatch.setattr(chipfire.reduction, "_fire_indices", lambda graph, values, room, members: 0)
     with pytest.raises(cf.InternalError, match="reduction did not terminate"):
         chipfire.reduction._reduce_indices(_cycle(5), [0, 2, 0, 0, 0], 0)
 
