@@ -31,8 +31,9 @@ class Graph:
     each loop twice, which is what makes the canonical divisor come out
     with total degree ``2*genus - 2``.
 
-    Per-graph tables (adjacency rows, vertex degrees) are computed once at
-    construction, which is safe because graphs are immutable.
+    Per-graph tables (adjacency rows, vertex degrees, the loopless genus)
+    are computed once at construction, which is safe because graphs are
+    immutable.
     """
 
     __slots__ = (
@@ -43,9 +44,9 @@ class Graph:
         "_adj",
         "_adj_items",
         "_degrees",
+        "_loopless_genus",
         "_connected",
         "_hash",
-        "_edge_count",
     )
 
     def __init__(self, vertices: Iterable[VertexSpec], edges: Iterable[EdgeSpec] = ()):
@@ -103,7 +104,9 @@ class Graph:
         self._degrees = tuple(sum(row.values()) for row in adj)  # loops excluded
         self._connected: bool | None = None
         self._hash: int | None = None
-        self._edge_count = sum(self._degrees) // 2 + sum(loops)
+        # non-loop edges - n + 1: on a connected graph, the most chips a
+        # base-reduced divisor holds off the base
+        self._loopless_genus = sum(self._degrees) // 2 - len(ids) + 1
 
     # -- basic structure ------------------------------------------------
 
@@ -164,7 +167,7 @@ class Graph:
     @property
     def edge_count(self) -> int:
         """Total number of edges counted with multiplicity, loops included."""
-        return self._edge_count
+        return self._loopless_genus + len(self._ids) - 1 + sum(self._loops)
 
     def valency(self, vertex: str) -> int:
         """Number of edge endpoints at the vertex; each loop contributes 2."""
@@ -212,7 +215,7 @@ class Graph:
         The per-component formula summed with the 1-c correction telescopes
         to the same global expression, so no component split is needed.
         """
-        return sum(self._weights) + self.edge_count - self.vertex_count + 1
+        return sum(self._weights) + sum(self._loops) + self._loopless_genus
 
     def intersection(self, a: Iterable[str], b: Iterable[str]) -> int:
         """Total multiplicity of edges with one endpoint in a and the other in b.

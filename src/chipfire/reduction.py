@@ -146,22 +146,42 @@ def _reduce_indices(
     ``room`` as ``d(v) - room(v)``.  Surviving the burn means
     ``d(v) >= out(v)``, so ``t >= 1``, and after t firings every member
     still holds ``d(v) - t * out(v) >= 0``: effectivity off the base is
-    preserved.  A lone pile on a cycle or a complete graph then moves in
-    a few rounds, but the poorest member sets t, so several piles, or one
-    on a grid, can still need rounds in proportion to their chips.
+    preserved.  The poorest member sets t, so several piles, or one on a
+    grid, would need rounds in proportion to their chips.
 
-    Step guard.  Let D be the divisor when phase 2 starts, S its chips off
-    the base and L the phase-2 firing script.  The base never fires, so
-    L(base) = 0; the reduced divisor R is unique and the Laplacian's kernel
-    is the constants, so L is fixed: off the base, L = G (D - R) with G the
-    inverse of the reduced Laplacian.  G is non-negative and G(v, w) <= G(w, w),
-    the effective resistance from w to the base, which is at most the
-    n - 1 edges of a path; with R >= 0 this gives L(v) <= (n - 1) S.  Every
-    round raises the level of each fired vertex by t >= 1, so the rounds
-    number at most sum(L) <= (n - 1)^2 S; more means a broken kernel.
+    Halving keeps the chips of a firing pass bounded by the graph.  A
+    base-reduced divisor holds at most g' chips off the base, with
+    g' = non-loop edges - n + 1 (Baker-Norine, arXiv:math/0608360: off the
+    base it is at most indeg_O - 1 for an acyclic orientation O whose only
+    source is the base, and those values sum to g').  Write D = 2H + B with
+    H = D >> 1 and B = D & 1, and firing by x as taking D to D - Lx, L the
+    Laplacian.  If H - Lx = R is reduced then 2R + B = D - L(2x), and
+    2R + B holds at most 2g' + n - 1 chips off the base.  So when D has
+    more than that, phase 2 first reduces D >> s, the fewest halvings that
+    bring it within the bound, and then for each lower bit doubles the
+    result and its levels, adds that bit of D, ``(D >> (s - 1)) & 1``, and
+    reduces again: every pass starts within 2g' + n - 1 chips, and the
+    passes number log2 of the chips.  They run in a loop, as recursion
+    would fail past about 2^1000 chips.  A divisor within the bound takes
+    a single pass on D itself.  The bound is checked when the first round
+    would fire, so the many divisors that are reduced once their debt is
+    cleared pay nothing for it (a reduced divisor is within the bound),
+    and a pile above it pays one burn of D before the halving.
+
+    Step guard, per pass, set when its first round fires.  Let D be the
+    divisor when a pass starts, S its chips off the base and X the pass's
+    firing script.  The base never fires, so X(base) = 0; the reduced
+    divisor R is unique and the Laplacian's kernel is the constants, so X
+    is fixed: off the base, X = G (D - R) with G the inverse of the
+    reduced Laplacian.  G is non-negative and G(v, w) <= G(w, w), the
+    effective resistance from w to the base, which is at most the n - 1
+    edges of a path; with R >= 0 this gives X(v) <= (n - 1) S.  Every
+    round raises the level of each fired vertex by t >= 1, so the pass's
+    rounds number at most sum(X) <= (n - 1)^2 S; more means a broken
+    kernel.
 
     Returns the reduced values and the accumulated firing levels (not yet
-    normalized).  Mutates and returns ``values``.
+    normalized); the base's level is zero.  May mutate ``values``.
     """
     n = graph.vertex_count
     levels = [0] * n
@@ -185,19 +205,35 @@ def _reduce_indices(
             if guard < 0:
                 raise InternalError("debt clearing did not terminate within its step guard")
 
-    guard = (n - 1) ** 2 * (sum(values) - values[base])
-    rounds = 0
+    pile, borrowed, shift = values, levels, 0
     while True:
-        room = _burn(graph, values, base)
-        if max(room) < 0:
+        rounds = 0
+        while True:
+            room = _burn(graph, values, base)
+            if max(room) < 0:
+                break
+            if not rounds:  # the pass fires: halve a pile above the bound, else set the guard
+                chips = sum(values) - values[base]
+                unit = 2 * graph._loopless_genus + n  # one more than the bound
+                if values is pile and chips >= unit:
+                    shift = (chips // unit).bit_length()
+                    values, levels = [x >> shift for x in pile], [0] * n
+                    continue
+                guard = (n - 1) ** 2 * chips
+            unburned = [v for v, r in enumerate(room) if r >= 0]
+            rounds += 1
+            times = _fire_indices(graph, values, room, unburned)
+            if times < 1 or rounds > guard:
+                raise InternalError("reduction did not terminate within its step guard")
+            for v in unburned:
+                levels[v] += times
+        if not shift:
             break
-        unburned = [v for v, r in enumerate(room) if r >= 0]
-        rounds += 1
-        times = _fire_indices(graph, values, room, unburned)
-        if times < 1 or rounds > guard:
-            raise InternalError("reduction did not terminate within its step guard")
-        for v in unburned:
-            levels[v] += times
+        shift -= 1
+        values = [2 * x + (d >> shift & 1) for x, d in zip(values, pile)]
+        levels = [2 * x for x in levels]
+    if levels is not borrowed:
+        levels = [x + b for x, b in zip(levels, borrowed)]
     return values, levels
 
 

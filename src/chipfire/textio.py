@@ -59,41 +59,44 @@ def parse_graph(text: str) -> GraphDocument:
         kind = tokens[0]
         if kind == "v":
             if len(tokens) not in (2, 3):
-                raise ParseError(f"expected 'v <id> [<weight>]', got {line!r}", lineno)
+                raise ParseError(f"expected 'v <id> [<weight>]', got {quoted(line)}", lineno)
             vid = tokens[1]
             if not _ID.match(vid):
-                raise ParseError(f"bad vertex id {vid!r}", lineno)
+                raise ParseError(f"bad vertex id {quoted(vid)}", lineno)
             if vid in vertex_lines:
                 raise ParseError(
-                    f"duplicate vertex {vid!r} (first declared on line {vertex_lines[vid]})",
+                    f"duplicate vertex {quoted(vid)} (first declared on line {vertex_lines[vid]})",
                     lineno,
                 )
             weight = 0
             if len(tokens) == 3:
-                weight = _int(tokens[2], "weight", f"vertex {vid!r}", lineno)
+                weight = _int(tokens[2], "weight", f"vertex {quoted(vid)}", lineno)
                 if weight < 0:
-                    raise ParseError(f"negative weight {quoted(tokens[2])} for vertex {vid!r}", lineno)
+                    raise ParseError(
+                        f"negative weight {quoted(tokens[2])} for vertex {quoted(vid)}", lineno
+                    )
             vertex_lines[vid] = lineno
             vertices.append((vid, weight))
         elif kind == "e":
             if len(tokens) not in (3, 4):
-                raise ParseError(f"expected 'e <id1> <id2> [<mult>]', got {line!r}", lineno)
+                raise ParseError(f"expected 'e <id1> <id2> [<mult>]', got {quoted(line)}", lineno)
             a, b = tokens[1], tokens[2]
             for endpoint in (a, b):
                 if not _ID.match(endpoint):
-                    raise ParseError(f"bad vertex id {endpoint!r}", lineno)
+                    raise ParseError(f"bad vertex id {quoted(endpoint)}", lineno)
                 if endpoint not in vertex_lines:
-                    raise ParseError(f"edge endpoint {endpoint!r} is not declared", lineno)
+                    raise ParseError(f"edge endpoint {quoted(endpoint)} is not declared", lineno)
             mult = 1
             if len(tokens) == 4:
-                mult = _int(tokens[3], "multiplicity", f"edge {a!r}-{b!r}", lineno)
+                mult = _int(tokens[3], "multiplicity", f"edge {quoted(a)}-{quoted(b)}", lineno)
                 if mult < 1:
                     raise ParseError(
-                        f"multiplicity {quoted(tokens[3])} for edge {a!r}-{b!r}; must be >= 1", lineno
+                        f"multiplicity {quoted(tokens[3])} for edge {quoted(a)}-{quoted(b)}; must be >= 1",
+                        lineno,
                     )
             edges.append((a, b, mult))
         else:
-            raise ParseError(f"unknown directive {kind!r}", lineno)
+            raise ParseError(f"unknown directive {quoted(kind)}", lineno)
     return GraphDocument(graph=Graph(vertices, edges), vertex_lines=vertex_lines)
 
 
@@ -117,15 +120,15 @@ def parse_divisor(text: str, graph: Graph) -> Divisor:
         if not entry:
             continue
         if "=" not in entry:
-            raise ParseError(f"bad divisor entry {entry!r}; expected id=int")
+            raise ParseError(f"bad divisor entry {quoted(entry)}; expected id=int")
         vid, _, num = entry.partition("=")
         vid = vid.strip()
         num = num.strip()
         if not graph.has_vertex(vid):
-            raise ParseError(f"unknown vertex id {vid!r} in divisor literal")
+            raise ParseError(f"unknown vertex id {quoted(vid)} in divisor literal")
         if vid in values:
-            raise ParseError(f"duplicate vertex id {vid!r} in divisor literal")
-        values[vid] = _int(num, "integer", f"vertex {vid!r}")
+            raise ParseError(f"duplicate vertex id {quoted(vid)} in divisor literal")
+        values[vid] = _int(num, "integer", f"vertex {quoted(vid)}")
     return Divisor(graph, values)
 
 

@@ -277,6 +277,27 @@ def test_reduce_debt_pile_time_independent_of_debt():
         _check_reduction(cf.Divisor(_grid(8), {"g7_7": -(10**5)}), "g0_0")
 
 
+def test_reduce_grid_pile_time_independent_of_chip_count():
+    grid = _grid(8)
+    pile = cf.Divisor(grid, {"g7_7": 10**5})
+    with _Timer("8x8 grid, 10^5 chips at the far corner", 1.0):
+        reduced = _check_reduction(pile, "g0_0")
+    assert _class_signature(grid, list(pile.values)) == _class_signature(grid, list(reduced.values))
+
+
+def test_reduce_astronomical_pile():
+    with _Timer("8x8 grid, 10^30 chips at the far corner", 1.0):
+        _check_reduction(cf.Divisor(_grid(8), {"g7_7": 10**30}), "g0_0")
+
+
+def test_reduce_pile_past_the_recursion_limit():
+    # 1,200 halvings: a recursive halving would overflow the stack
+    with _Timer("C30 with 2^1200 chips", 1.0):
+        ids = [f"v{i}" for i in range(30)]
+        cycle = cf.Graph(ids, [(ids[i], ids[(i + 1) % 30]) for i in range(30)])
+        _check_reduction(cf.Divisor(cycle, {"v15": 2**1200}), "v0")
+
+
 def test_equivalence_on_a_long_cycle():
     with _Timer("C1200, equivalence of two single chips", 0.1):
         ids = [f"c{i}" for i in range(1200)]

@@ -138,6 +138,33 @@ def test_huge_integers_are_parse_errors(tmp_path, capsys):
         assert str(info.value) == message
 
 
+def test_long_tokens_are_cut_in_format_errors():
+    long_line = "v a 1 " + "x" * 5000
+    for text, head in (
+        (long_line + "\n", "line 1: expected 'v <id> [<weight>]', got 'v a 1 xxx"),
+        ("v " + "a." * 3000 + "\n", "line 1: bad vertex id 'a.a."),
+        ("q" * 5000 + " a\n", "line 1: unknown directive 'qqq"),
+        ("v a\ne a " + "b" * 5000 + "\n", "line 2: edge endpoint 'bbb"),
+    ):
+        with pytest.raises(cf.ParseError) as info:
+            cf.parse_graph(text)
+        assert str(info.value).startswith(head)
+        assert "characters)" in str(info.value) and len(str(info.value)) < 150
+    with pytest.raises(cf.ParseError, match=r"^unknown vertex id 'c{40}'\.\.\. \(6000 characters\) in") as info:
+        cf.parse_divisor("c" * 6000 + "=1", cf.Graph(["a"]))
+    assert len(str(info.value)) < 150
+    # a token of 40 characters is quoted whole, as before the cut
+    edge = "e a " + "b" * 38 + "\n"
+    for text, message in (
+        ("v " + "a." * 20 + "\n", "line 1: bad vertex id " + repr("a." * 20)),
+        ("v a\n" + edge, "line 2: edge endpoint " + repr("b" * 38) + " is not declared"),
+        ("v a 1 x\n", "line 1: expected 'v <id> [<weight>]', got 'v a 1 x'"),
+    ):
+        with pytest.raises(cf.ParseError) as info:
+            cf.parse_graph(text)
+        assert str(info.value) == message
+
+
 def test_render_divisor(dhar5):
     d = dhar5.divisors["example"]
     assert cf.render_divisor(d) == "v1=1,v2=2,v3=4,v4=4"
@@ -310,6 +337,35 @@ def test_cli_g0_exact_output(weighted_looped_file, capsys):
         "genus": 1,
     }
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_cli_reduce_big_pile_exact_output(tmp_path, capsys):
+    # 10^4 chips on the 6x6 grid: more than 2g' + n - 1 = 85, so the
+    # reduction halves the pile; the bytes are those of one unhalved pass
+    side = 6
+    grid = cf.Graph(
+        [f"g{i}_{j}" for i in range(side) for j in range(side)],
+        [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(side - 1) for j in range(side)]
+        + [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(side) for j in range(side - 1)],
+    )
+    path = tmp_path / "grid6.graph"
+    path.write_text(cf.render_graph(grid))
+    assert main(["reduce", str(path), "-d", "g5_5=10000", "-u", "g0_0", "--json"]) == 0
+    reduced = cf.parse_divisor(
+        "g0_0=9988,g0_2=2,g0_3=1,g2_0=2,g2_4=1,g3_0=1,g3_3=2,g3_5=1,g4_2=1,g5_3=1", grid
+    )
+    levels = (
+        "g0_1=4994,g0_2=7980,g0_3=9938,g0_4=11190,g0_5=11816,g1_0=4994,g1_1=7002,g1_2=9010,"
+        "g1_3=10645,g1_4=11816,g1_5=12442,g2_0=7980,g2_1=9010,g2_2=10413,g2_3=11816,g2_4=12987,"
+        "g2_5=13694,g3_0=9938,g3_1=10645,g3_2=11816,g3_3=13219,g3_4=14623,g3_5=15653,g4_0=11190,"
+        "g4_1=11816,g4_2=12987,g4_3=14623,g4_4=16633,g4_5=18643,g5_0=11816,g5_1=12442,g5_2=13694,"
+        "g5_3=15653,g5_4=18643,g5_5=23643"
+    )
+    script = cf.FiringScript(grid, cf.parse_divisor(levels, grid).values)
+    expected = {"reduced": reduced.as_dict(), "script": script.as_dict()}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    assert cf.is_reduced(reduced, "g0_0")
+    assert cf.Divisor(grid, {"g5_5": 10**4}) + cf.apply_script(script) == reduced
 
 
 def test_cli_rr_and_clifford(dhar5_file, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,44 @@ def test_reduce_is_class_stable(monkeypatch):
         shifted = divisor + cf.apply_script(shift)
         assert cf.reduce_divisor(shifted, base)[0] == reduced
     assert min(firings) >= 1 and max(firings) > 1  # phase 2 fired in bulk
+
+
+def test_reduce_big_piles_by_halving():
+    # piles far above the halving bound 2g' + n - 1, so the reduction runs
+    # its halving passes; checked without the burning code
+    rng = random.Random(2026)
+    checked = 0
+    while checked < 40:
+        graph = cf.random_connected_graph(rng, 8, 14, 2)
+        n = graph.vertex_count
+        if n < 2:
+            continue
+        checked += 1
+        u = rng.randrange(n)
+        base = graph.vertex_ids[u]
+        values = list(cf.random_divisor(rng, graph, 3).values)
+        for _ in range(rng.randint(1, 3)):
+            values[rng.choice([v for v in range(n) if v != u])] += rng.randint(10**3, 10**6)
+        divisor = cf.Divisor(graph, values)
+        bound = 2 * cf.strip_weights_and_loops(graph).genus() + n - 1
+        assert sum(values) - values[u] > bound
+        reduced, script = cf.reduce_divisor(divisor, base)
+        assert cf.brute_is_reduced(reduced, base)
+        assert _class_signature(graph, values) == _class_signature(graph, list(reduced.values))
+        assert divisor + cf.apply_script(script) == reduced
+        shift = cf.FiringScript(graph, [rng.randint(0, 50) for _ in range(n)])
+        assert cf.reduce_divisor(divisor + cf.apply_script(shift), base)[0] == reduced
+        again, zero = cf.reduce_divisor(reduced, base)
+        assert again == reduced and zero.levels == (0,) * n
+
+
+def test_halving_bound_ignores_loops_and_weights():
+    g = cf.Graph([("a", 2), "b", ("c", 1)], [("a", "b", 2), ("b", "c"), ("a", "a", 3), ("c", "c")])
+    plain = cf.strip_weights_and_loops(g)
+    assert g._loopless_genus == plain._loopless_genus == plain.genus() == 1
+    looped = cf.reduce_divisor(cf.Divisor(g, {"c": 10**6}), "a")
+    stripped = cf.reduce_divisor(cf.Divisor(plain, {"c": 10**6}), "a")
+    assert [x.values for x in looped] == [x.values for x in stripped]
 
 
 def _cycle(n):
