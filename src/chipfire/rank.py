@@ -13,11 +13,18 @@ cheapest to clear at its own vertex, so ``_debt_base`` picks the base.
 Fast paths pick a starting level; one loop searches and certifies.  Level
 k holds the classes of D - e for the effective e of degree k, and the rank
 is one less than the first level with a class that has no effective
-representative.  Three exact fast paths know the rank r and start at level
+representative.  Four exact fast paths know the rank r and start at level
 r + 1, which must fail: the degree formula on a single vertex, rank -1
-when the base-reduced representative is negative at the base, and the
-minimal rank capacity for an effective divisor reduced at a vertex
-attaining it.  The exhaustive search starts at level 0.  The class of
+when the base-reduced representative is negative at the base, the minimal
+rank capacity for an effective divisor reduced at a vertex attaining it,
+and Riemann-Roch when K - D has the smaller degree.  The last ranks the
+dual K - D on the hat graph (canonical value deg(v) - 2, minus the lifted
+values) through the same routine and starts D's search at
+r(K - D) + deg D - g + 2 (Baker-Norine; for weighted and looped graphs
+through the hat graph, Amini-Caporaso).  Above degree 2g - 2 the dual has
+negative degree and is settled by its own reduction; the dual never
+takes this route itself, because its degree is the smaller one.  The
+exhaustive search starts at level 0.  The class of
 D - e - v depends only on the class of D - e, so level k + 1 is the set of
 reductions of c - v over the classes c of level k and the vertices v, and
 no level has more classes than the graph has spanning trees.  A level is
@@ -52,6 +59,7 @@ METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_RANK_EXPLICIT = "rank-explicit"
 METHOD_REDUCED_NEGATIVE = "reduced-negative"
 METHOD_FORMULA = "formula"
+METHOD_RIEMANN_ROCH = "riemann-roch"
 
 
 @dataclass(frozen=True)
@@ -175,11 +183,51 @@ def _certify(graph: Graph, lifted: tuple[int, ...], base: int, failing: tuple[in
     return Divisor(graph, failing)
 
 
+def _first_failing(
+    hat: Graph,
+    values: tuple[int, ...],
+    budget: int,
+    start: Optional[tuple[str, int]] = None,
+) -> tuple[str, int, tuple[int, ...]]:
+    """``(method, rank, failing)`` for ``values`` on the weightless loopless
+    ``hat``: ``failing`` is the lex-first tuple of the first failing level,
+    not yet certified.
+
+    ``start`` is the method and starting level the caller chose: the
+    exhaustive search at level 0 or a fast path it found.  Without one,
+    the reduced-negative and Riemann-Roch routes are tried here.
+    """
+    base = _debt_base(values)
+    base_reduced, _ = _reduce_indices(hat, list(values), base)
+    method, k = start or (METHOD_EXHAUSTIVE, 0)
+    if start is None:
+        degree, genus = sum(values), hat.genus()
+        if base_reduced[base] < 0:
+            method = METHOD_REDUCED_NEGATIVE
+        elif 2 * genus - 2 - degree < degree:
+            dual = tuple(d - 2 - x for d, x in zip(hat._degrees, values))
+            dual_rank = _first_failing(hat, dual, budget)[1]
+            method, k = METHOD_RIEMANN_ROCH, dual_rank + degree - genus + 2
+
+    classes = None
+    while True:
+        failing, classes = _scan_level(hat, base_reduced, base, k, budget, classes)
+        if failing is not None:
+            return method, k - 1, failing
+        if method != METHOD_EXHAUSTIVE:
+            raise InternalError("no failing divisor found one degree above the computed rank")
+        k += 1
+
+
 def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = False) -> RankResult:
     """The combinatorial rank of a divisor on any connected graph.
 
-    With ``exhaustive=True`` the fast paths are skipped and the definition
-    is evaluated directly on the hat graph, level by level: a level is
+    Unless ``exhaustive``, a fast path may fix the rank and start the
+    search at the level above it: the single-vertex formula,
+    ``reduced-negative``, ``rank-explicit``, or ``riemann-roch`` when
+    deg(K - D) < deg D, which ranks K - D on the hat graph first.  With
+    ``exhaustive=True`` every fast path is skipped and the definition is
+    evaluated directly on the hat graph, level by level: a level is
     decided from the previous level's classes when that is cheaper than
     enumerating its candidates, and the failing level is always enumerated
     in lex order.  The value and witness are identical either way.  Raises
@@ -190,29 +238,22 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     graph.require_connected("rank")
     embedding = hat_graph(graph)
     hat = embedding.target
-    lifted = lift_divisor(embedding, divisor)
-    base = _debt_base(lifted.values)
-    base_reduced, _ = _reduce_indices(hat, list(lifted.values), base)
+    lifted = lift_divisor(embedding, divisor).values
 
-    method, k = METHOD_EXHAUSTIVE, 0
-    if not exhaustive:
-        if graph.vertex_count == 1:
-            d0 = divisor.values[0]
-            method = METHOD_FORMULA
-            k = rank_for_degree(d0, graph.local_genus(graph.vertex_ids[0])) + 1 if d0 >= 0 else 0
-        elif base_reduced[base] < 0:
-            method = METHOD_REDUCED_NEGATIVE
-        elif divisor.is_effective and rank_explicit_vertex(divisor) is not None:
-            method, k = METHOD_RANK_EXPLICIT, rank_lower_bound(divisor) + 1
+    start = None
+    if exhaustive:
+        start = METHOD_EXHAUSTIVE, 0
+    elif graph.vertex_count == 1:
+        d0 = divisor.values[0]
+        k = rank_for_degree(d0, graph.local_genus(graph.vertex_ids[0])) + 1 if d0 >= 0 else 0
+        start = METHOD_FORMULA, k
+    # an effective divisor's class is never reduced-negative, so this test
+    # may precede that one
+    elif divisor.is_effective and rank_explicit_vertex(divisor) is not None:
+        start = METHOD_RANK_EXPLICIT, rank_lower_bound(divisor) + 1
 
-    classes = None
-    while True:
-        failing, classes = _scan_level(hat, base_reduced, base, k, budget, classes)
-        if failing is not None:
-            return RankResult(k - 1, _certify(hat, lifted.values, base, failing), method)
-        if method != METHOD_EXHAUSTIVE:
-            raise InternalError("no failing divisor found one degree above the computed rank")
-        k += 1
+    method, value, failing = _first_failing(hat, lifted, budget, start)
+    return RankResult(value, _certify(hat, lifted, _debt_base(lifted), failing), method)
 
 
 def rank_geq(
@@ -328,9 +369,10 @@ def riemann_roch_residual(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> 
     graph."""
     graph = divisor.graph
     graph.require_connected("riemann_roch_residual")
-    direct = rank(divisor, budget=budget).rank
+    # Riemann-Roch is what this checks, so neither side may be ranked by it
+    direct = rank(divisor, budget=budget, exhaustive=True).rank
     residual_class = graph.canonical_divisor() - divisor
-    dual = rank(residual_class, budget=budget).rank
+    dual = rank(residual_class, budget=budget, exhaustive=True).rank
     return direct - dual - (divisor.degree - graph.genus() + 1)
 
 

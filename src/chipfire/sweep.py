@@ -5,8 +5,14 @@ instance is pushed through the full battery of conformance identities:
 Riemann-Roch residual, Clifford, class invariance of the rank, the
 capacity lower bound, monotonicity, the loop-stripped comparison, the
 loop-subdivision identity, the high-degree formula, the rank-zero reduced
-characterization, fast-path/exhaustive agreement, and (within budget)
-agreement with the brute-force oracles.
+characterization, fast-path/exhaustive agreement on both the value and the
+witness, and (within budget) agreement with the brute-force oracles.
+
+The rank every check compares against, and the dual rank of the
+Riemann-Roch check, are exhaustive (``exhaustive=True``), so no check is
+answered by the theorem it tests; the shifted, bumped, stripped and
+subdivided divisors are ranked with the fast paths, which cross-checks
+those against the definition.
 
 Randomness comes from ``random.Random(seed)`` using integer draws only
 (Mersenne Twister; stable across platforms and supported Python versions),
@@ -200,11 +206,13 @@ class _Sweep:
         genus = graph.genus()
         degree = divisor.degree
 
+        # exhaustive, so that no check below is answered by the theorem it tests
         result = rank(divisor)
-        value = result.rank
+        exact = result if result.method == METHOD_EXHAUSTIVE else rank(divisor, exhaustive=True)
+        value = exact.rank
 
         canonical = graph.canonical_divisor()
-        dual = rank(canonical - divisor).rank
+        dual = rank(canonical - divisor, exhaustive=True).rank
         if value - dual != degree - genus + 1:
             self._fail(
                 trial,
@@ -292,13 +300,14 @@ class _Sweep:
             )
         self._tick("rank-zero-characterization")
 
-        if result.method != METHOD_EXHAUSTIVE:
-            recomputed = rank(divisor, exhaustive=True).rank
-            if recomputed != value:
+        if result is not exact:
+            if (result.rank, result.witness) != (value, exact.witness):
                 self._fail(
                     trial,
                     "fast-path-agreement",
-                    f"{result.method} gave {value}, exhaustive gave {recomputed}",
+                    f"{result.method} gave {result.rank} with witness "
+                    f"{render_divisor(result.witness) or '0'}, exhaustive gave {value} "
+                    f"with witness {render_divisor(exact.witness) or '0'}",
                     graph,
                     divisor,
                 )

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line and
 holding its stated wall-clock limit.  All equality checks are exact."""
 
+import math
 import random
 import time
 
@@ -332,3 +333,60 @@ def test_exhaustive_rank_looped_k4_from_classes():
         result = cf.rank(cf.Divisor(k4, (5, 4, 5, 4)), exhaustive=True)
         assert result.rank == 11
         assert cf.render_divisor(result.witness) == "v0.z1=1,v1.z1=1,v2.z1=3,v3.z1=7"
+
+
+def _all_ones_on_grid(rows, cols):
+    ids = [f"g{i}_{j}" for i in range(rows) for j in range(cols)]
+    edges = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(rows - 1) for j in range(cols)]
+    edges += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(rows) for j in range(cols - 1)]
+    grid = cf.Graph(ids, edges)
+    return cf.Divisor(grid, [1] * len(ids))
+
+
+def test_rank_all_ones_3x5_grid_from_the_dual():
+    # deg 15 > 2g - 2 = 14: K - D has negative degree
+    with _Timer("3x5 grid, all-ones rank", 1.0):
+        result = cf.rank(_all_ones_on_grid(3, 5))
+        assert (result.rank, result.method) == (7, "riemann-roch")
+
+
+def test_rank_all_ones_4x4_grid_from_the_dual():
+    # deg 16 = 2g - 2: K - D has degree 0
+    with _Timer("4x4 grid, all-ones rank", 1.0):
+        result = cf.rank(_all_ones_on_grid(4, 4))
+        assert (result.rank, result.method) == (7, "riemann-roch")
+
+
+def test_rank_all_ones_3x4_grid_matches_exhaustive():
+    d = _all_ones_on_grid(3, 4)
+    with _Timer("3x4 grid, all-ones rank", 1.0):
+        fast = cf.rank(d)
+    exact = cf.rank(d, exhaustive=True)
+    assert (fast.method, exact.method) == ("riemann-roch", "exhaustive")
+    assert (fast.rank, fast.witness) == (exact.rank, exact.witness) and fast.rank == 6
+
+
+def test_rank_weighted_looped_stream_matches_exhaustive():
+    # every degree from 0 to 2g + 2, so each fast path meets the definition
+    rng = random.Random(31)
+    routes = set()
+    checked = 0
+    with _Timer("weighted and looped stream, fast against exhaustive", 10.0):
+        while checked < 300:
+            graph = cf.random_connected_graph(rng, 4, 6, 2)
+            hat_n = cf.hat_graph(graph).target.vertex_count
+            if hat_n == graph.vertex_count:
+                continue
+            genus = graph.genus()
+            degree = rng.randint(0, 2 * genus + 2)
+            if math.comb(degree + hat_n, hat_n - 1) > 20_000:
+                continue
+            values = [rng.randint(-2, 2) for _ in graph.vertex_ids]
+            while sum(values) != degree:
+                values[rng.randrange(len(values))] += 1 if sum(values) < degree else -1
+            d = cf.Divisor(graph, values)
+            fast, exact = cf.rank(d), cf.rank(d, exhaustive=True)
+            assert (fast.rank, fast.witness) == (exact.rank, exact.witness), (graph, d)
+            routes.add(fast.method)
+            checked += 1
+    assert "riemann-roch" in routes

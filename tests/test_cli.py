@@ -210,6 +210,17 @@ def test_cli_rank_exhaustive_flag(weighted_binary_file, capsys):
     assert set(payload["witness"]) == {"v1", "v2", "v1.z1", "v2.z1", "v2.z2"}
 
 
+def test_cli_rank_riemann_roch_method(dhar5_file, capsys):
+    args = ["rank", dhar5_file, "-d", "v1=1,v2=2,v3=4,v4=4", "--json"]
+    assert main(args) == 0
+    fast = json.loads(capsys.readouterr().out)
+    assert fast["method"] == "riemann-roch"
+    assert main(args + ["--exhaustive"]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert exact["method"] == "exhaustive"
+    assert {k: fast[k] for k in ("rank", "witness")} == {k: exact[k] for k in ("rank", "witness")}
+
+
 def test_cli_rank_json_schema(dhar5_file, capsys):
     assert main(["rank", dhar5_file, "-d", "v1=1,v2=2,v3=4,v4=4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -489,3 +500,22 @@ def test_sweep_cost_cap_too_small_is_a_domain_error():
     for cap, seed in ((0, 0), (7, 3)):
         with pytest.raises(cf.DomainError, match=f"cost_cap={cap}"):
             cf.run_sweep(cf.SweepConfig(trials=1, cost_cap=cap, seed=seed))
+
+
+def test_sweep_flags_a_fast_witness_that_differs(monkeypatch):
+    # fast-path agreement compares witnesses too: a Riemann-Roch route that
+    # returned the right rank with another witness would be caught
+    original = cf.rank
+
+    def skewed(divisor, **kwargs):
+        result = original(divisor, **kwargs)
+        if result.method != "riemann-roch":
+            return result
+        values = result.witness.values
+        rotated = cf.Divisor(result.witness.graph, values[1:] + values[:1])
+        return cf.RankResult(result.rank, rotated, result.method)
+
+    monkeypatch.setattr("chipfire.sweep.rank", skewed)
+    report = cf.run_sweep(cf.SweepConfig(trials=40, seed=5))
+    assert report.failures
+    assert all(": fast-path-agreement: riemann-roch gave " in f for f in report.failures)

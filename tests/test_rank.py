@@ -43,10 +43,15 @@ def test_rank_geq_rejects_weighted_or_looped(weighted_binary):
 
 
 def test_rank_dhar5(dhar5):
-    result = cf.rank(dhar5.divisors["example"])
+    # degree 11 against 7 for K - D on genus 10: ranked from the dual
+    d = dhar5.divisors["example"]
+    result = cf.rank(d)
     assert result.rank == 2
-    assert result.method == "exhaustive"
+    assert result.method == "riemann-roch"
     assert result.witness is not None and result.witness.degree == 3
+    exact = cf.rank(d, exhaustive=True)
+    assert exact.method == "exhaustive"
+    assert (result.rank, result.witness) == (exact.rank, exact.witness)
 
 
 def test_rank_weighted_binary_both_paths(weighted_binary):
@@ -102,6 +107,23 @@ def test_rank_budget_guard(dhar5):
         cf.rank(dhar5.divisors["example"], budget=3)
     assert info.value.count is not None and info.value.count > 3
     assert info.value.budget == 3
+
+
+def test_rank_budget_parity_with_exhaustive(dhar5):
+    # the Riemann-Roch route scans the dual's levels and D's failing level
+    # 3, all within what the exhaustive search scans, so both raise on the
+    # same budgets with the same message
+    d = dhar5.divisors["example"]
+    level3 = math.comb(3 + 4, 4)
+    for budget in range(level3 - 5, level3 + 5):
+        outcomes = []
+        for exhaustive in (False, True):
+            try:
+                outcomes.append(cf.rank(d, budget=budget, exhaustive=exhaustive).rank)
+            except cf.BudgetError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], budget
+        assert isinstance(outcomes[0], str) == (budget < level3)
 
 
 def test_rank_witness_is_lex_smallest(dhar5):
@@ -361,6 +383,23 @@ def test_rr_residual_dhar5(dhar5):
     assert cf.riemann_roch_residual(d) == 0
     dual = dhar5.graph.canonical_divisor() - d
     assert cf.rank(dual).rank == 0
+
+
+def test_rr_residual_ranks_both_sides_exhaustively(dhar5, weighted_binary, monkeypatch):
+    # the residual checks Riemann-Roch, so the Riemann-Roch route must not
+    # answer either side
+    module = importlib.import_module("chipfire.rank")
+    original = module.rank
+    calls = []
+
+    def recording(divisor, **kwargs):
+        calls.append(kwargs.get("exhaustive", False))
+        return original(divisor, **kwargs)
+
+    monkeypatch.setattr(module, "rank", recording)
+    for d in (dhar5.divisors["example"], weighted_binary.divisors["example"]):
+        assert cf.riemann_roch_residual(d) == 0
+    assert calls == [True] * 4
 
 
 def test_rr_residual_binary_sweep():
