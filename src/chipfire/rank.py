@@ -32,6 +32,16 @@ decided that way when expanding the previous level's classes costs less
 than enumerating its tuples.  Otherwise, and always at the failing level
 (so that the witness is the lexicographically smallest failing tuple), the
 tuples are enumerated, under a budget on each level's candidate count.
+
+The enumeration keeps the class of D - e[:t] for every prefix of the
+current tuple e.  The lex successor raises one coordinate and clears the
+ones after it up to the last, so its class is one step from a kept
+prefix class plus one step per chip at the last vertex.  A step c - v
+needs a reduction only when c(v) = 0 off the base.  Each search keeps
+those answers in a memo of its own, shared by its levels and by the
+class expansion and dropped when the search ends: no step is reduced
+twice in one search, and no search is answered from another, so a check
+that ranks two representatives of one class still runs two searches.
 """
 
 from __future__ import annotations
@@ -60,6 +70,9 @@ METHOD_RANK_EXPLICIT = "rank-explicit"
 METHOD_REDUCED_NEGATIVE = "reduced-negative"
 METHOD_FORMULA = "formula"
 METHOD_RIEMANN_ROCH = "riemann-roch"
+
+# one search's reduced ``_child`` steps: (class, vertex) -> child class or None
+_Memo = dict[tuple[tuple[int, ...], int], Optional[tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -99,26 +112,55 @@ def _check_budget(k: int, n: int, budget: int) -> int:
     return count
 
 
-def _expand_classes(
-    graph: Graph, base: int, previous: set[tuple[int, ...]]
-) -> Optional[set[tuple[int, ...]]]:
-    """The base-reduced classes c - v for every class c in ``previous`` and
-    every vertex v, or None at the first one that is negative at the base.
+def _child(
+    graph: Graph,
+    base: int,
+    memo: _Memo,
+    c: tuple[int, ...],
+    v: int,
+) -> Optional[tuple[int, ...]]:
+    """The base-reduced class of c - v for a base-reduced effective class
+    c, or None when that class is negative at the base.
 
     c - v is already base-reduced when v is the base or c(v) > 0:
     subtracting a chip where there is one keeps c effective off the base
-    and makes no set avoiding the base fireable."""
+    and makes no set avoiding the base fireable.  Only c(v) = 0 off the
+    base needs a reduction, and ``memo`` keeps those answers for the rest
+    of the search, keyed by ``(c, v)``."""
+    if c[v] or v == base:
+        child = list(c)
+        child[v] -= 1
+        return tuple(child) if child[base] >= 0 else None
+    key = c, v
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    child = list(c)
+    child[v] = -1
+    child, _ = _reduce_indices(graph, child, base)
+    found = memo[key] = tuple(child) if child[base] >= 0 else None
+    return found
+
+
+def _expand_classes(
+    graph: Graph,
+    base: int,
+    memo: _Memo,
+    previous: set[tuple[int, ...]],
+) -> Optional[set[tuple[int, ...]]]:
+    """The base-reduced classes c - v for every class c in ``previous`` and
+    every vertex v, or None at the first one that is negative at the base;
+    each is one ``_child`` step, answered from ``memo`` when the level scan
+    or an earlier expansion of this search already took it."""
     n = graph.vertex_count
     children = set()
     for c in previous:
         for v in range(n):
-            child = list(c)
-            child[v] -= 1
-            if v != base and child[v] < 0:
-                child, _ = _reduce_indices(graph, child, base)
-            if child[base] < 0:
+            child = _child(graph, base, memo, c, v)
+            if child is None:
                 return None
-            children.add(tuple(child))
+            children.add(child)
     return children
 
 
@@ -128,6 +170,7 @@ def _scan_level(
     base: int,
     k: int,
     budget: int,
+    memo: _Memo,
     previous: Optional[set[tuple[int, ...]]] = None,
 ) -> tuple[Optional[tuple[int, ...]], Optional[set[tuple[int, ...]]]]:
     """Decide the degree-k level: ``(failing, classes)``.
@@ -143,6 +186,17 @@ def _scan_level(
     is decided from them; at the first class that fails, the level is
     enumerated instead, so ``failing`` is the same either way.  The budget
     counts the level's candidates in both cases.
+
+    The enumeration walks the tuples in lex order and keeps ``pc[t]``, the
+    class of the values minus ``e[:t]``.  The lex successor raises one
+    coordinate j by a chip and clears ``j+1..n-2``, so it keeps
+    ``pc[:j+1]``, takes ``pc[j+1]`` one ``_child`` step at j, and copies
+    it to the cleared prefixes; the tuple's class is then ``e[n-1]``
+    steps at the last vertex.  ``memo`` holds the search's reduced
+    ``_child`` steps and is shared by its levels, so a step is reduced
+    once per search however many tuples or levels reach it.  A prefix
+    class that is None fails every extension, so the first tuple that
+    meets a None is the lex-first failing tuple.
     """
     n = graph.vertex_count
     count = _check_budget(k, n, budget)
@@ -151,25 +205,36 @@ def _scan_level(
         # fails; the lex-smallest is all mass on the last vertex
         return (0,) * (n - 1) + (k,), None
     if previous is not None and len(previous) * n < count:
-        children = _expand_classes(graph, base, previous)
+        children = _expand_classes(graph, base, memo, previous)
         if children is not None:
             return None, children
     # past this many classes, expanding them costs more than enumerating
     # the next level
     limit = _level_count(k + 1, n) // n
     classes: Optional[set[tuple[int, ...]]] = set()
+    last = n - 1
+    pc = [tuple(base_reduced) if base_reduced[base] >= 0 else None] * n
+    # the coordinate the lex successor of the current tuple raises; -1
+    # before the first tuple
+    j = -1
     for e in iter_effective_values(k, n):
-        vals = [a - b for a, b in zip(base_reduced, e)]
-        if min(vals) < 0:
-            vals, _ = _reduce_indices(graph, vals, base)
-            if vals[base] < 0:
-                return e, None
-        # an effective vals is already base-reduced: subtracting e from a
-        # base-reduced divisor makes no set avoiding the base fireable
+        if j >= 0:
+            pc[j + 1:] = [_child(graph, base, memo, pc[j + 1], j)] * (last - j)
+        c = pc[last]
+        for _ in range(e[last]):
+            if c is None:
+                break
+            c = _child(graph, base, memo, c, last)
+        if c is None:
+            return e, None
         if classes is not None:
-            classes.add(tuple(vals))
+            classes.add(c)
             if len(classes) > limit:
                 classes = None
+        # the successor moves a chip off the last vertex to n - 2 when there
+        # is one there; otherwise its raised coordinate is just before this
+        # one's last non-zero prefix coordinate, which is j
+        j = last - 1 if e[last] else j - 1
     return None, classes
 
 
@@ -200,6 +265,7 @@ def _first_failing(
     base = _debt_base(values)
     base_reduced, _ = _reduce_indices(hat, list(values), base)
     method, k = start or (METHOD_EXHAUSTIVE, 0)
+    memo: _Memo = {}
     if start is None:
         degree, genus = sum(values), hat.genus()
         if base_reduced[base] < 0:
@@ -211,7 +277,7 @@ def _first_failing(
 
     classes = None
     while True:
-        failing, classes = _scan_level(hat, base_reduced, base, k, budget, classes)
+        failing, classes = _scan_level(hat, base_reduced, base, k, budget, memo, classes)
         if failing is not None:
             return method, k - 1, failing
         if method != METHOD_EXHAUSTIVE:
@@ -249,8 +315,11 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
         start = METHOD_FORMULA, k
     # an effective divisor's class is never reduced-negative, so this test
     # may precede that one
-    elif divisor.is_effective and rank_explicit_vertex(divisor) is not None:
-        start = METHOD_RANK_EXPLICIT, rank_lower_bound(divisor) + 1
+    elif divisor.is_effective:
+        capacity = rank_capacity(divisor).values
+        explicit = next(_explicit_indices(divisor, capacity), None)
+        if explicit is not None:
+            start = METHOD_RANK_EXPLICIT, capacity[explicit] + 1
 
     method, value, failing = _first_failing(hat, lifted, budget, start)
     return RankResult(value, _certify(hat, lifted, _debt_base(lifted), failing), method)
@@ -271,21 +340,28 @@ def rank_geq(
         raise DomainError("rank_geq needs k >= 0")
     base = _debt_base(divisor.values)
     base_reduced, _ = _reduce_indices(graph, list(divisor.values), base)
-    failing, _ = _scan_level(graph, base_reduced, base, k, budget)
+    failing, _ = _scan_level(graph, base_reduced, base, k, budget, {})
     if failing is None:
         return True, None
     return False, Divisor(graph, failing)
+
+
+def _explicit_indices(divisor: Divisor, capacity: tuple[int, ...]) -> Iterator[int]:
+    """The indices, in declaration order, of the vertices at which the
+    effective ``divisor`` is reduced and its rank capacity ``capacity``
+    attains its minimum."""
+    floor_value = min(capacity)
+    for i, v in enumerate(divisor.graph.vertex_ids):
+        if capacity[i] == floor_value and is_reduced(divisor, v):
+            yield i
 
 
 def _iter_rank_explicit(divisor: Divisor) -> Iterator[str]:
     graph = divisor.graph
     graph.require_connected("rank_explicit_vertices")
     if divisor.is_effective:
-        floor_value = rank_lower_bound(divisor)
-        capacity = rank_capacity(divisor).values
-        for i, v in enumerate(graph.vertex_ids):
-            if capacity[i] == floor_value and is_reduced(divisor, v):
-                yield v
+        for i in _explicit_indices(divisor, rank_capacity(divisor).values):
+            yield graph.vertex_ids[i]
         return
     base = _debt_base(divisor.values)
     reduced, _ = reduce_divisor(divisor, graph.vertex_ids[base])

@@ -172,6 +172,24 @@ def test_criterion_7_property_suite():
             "high-degree",
         ):
             assert report.checks[name] == 500
+        # the whole seeded report is pinned: its resample count and every
+        # check count
+        assert report.resampled == 138
+        assert report.checks == {
+            "riemann-roch": 500,
+            "clifford": 500,
+            "class-invariance": 500,
+            "lower-bound": 500,
+            "monotonicity": 500,
+            "g0-comparison": 500,
+            "bullet-identity": 500,
+            "high-degree": 500,
+            "rank-zero-characterization": 500,
+            "fast-path-agreement": 434,
+            "oracle-rank": 124,
+            "oracle-reduced": 500,
+            "reduce-canonical": 500,
+        }
 
 
 def test_criterion_8_oracle_agreement():

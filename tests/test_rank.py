@@ -219,19 +219,22 @@ def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
             for e in enumerate_level(k, graph.vertex_count)
         }
 
-    def checked(graph, base_reduced, base, k, budget, previous=None):
+    def checked(graph, base_reduced, base, k, budget, memo, previous=None):
         nonlocal decided_from_classes
         if graph not in spanning_trees:
             spanning_trees[graph] = _solve_reduced(graph, [0] * graph.vertex_count)[1]
         before = len(enumerated)
-        failing, classes = scan(graph, base_reduced, base, k, budget, previous)
+        failing, classes = scan(graph, base_reduced, base, k, budget, memo, previous)
+        from_classes = failing is None and len(enumerated) == before
         if classes is not None:
             assert classes == level_classes(graph, base_reduced, base, k)
             assert len(classes) <= spanning_trees[graph]
+        # the search's memo answers exactly what a fresh one would
+        assert scan(graph, base_reduced, base, k, budget, {}, previous) == (failing, classes)
         if previous is not None:
-            if failing is None and len(enumerated) == before:
+            if from_classes:
                 decided_from_classes += 1
-            assert scan(graph, base_reduced, base, k, budget)[0] == failing
+            assert scan(graph, base_reduced, base, k, budget, {})[0] == failing
         return failing, classes
 
     # K4 with a path hung from v1: the path's vertices fall into v1's class,
@@ -248,6 +251,107 @@ def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
     for divisor in _banded_instances(502, 40) + [pendant]:
         cf.rank(divisor, exhaustive=True)
     assert decided_from_classes > 0
+
+
+def _reference_scan(graph, base_reduced, base, k):
+    """``(failing, classes)`` of the degree-k level, reducing the
+    base-reduced values minus each tuple from scratch with
+    ``reduce_divisor``; the class set is None past ``_scan_level``'s limit
+    on it."""
+    values = cf.Divisor(graph, base_reduced)
+    base_id = graph.vertex_ids[base]
+    classes = set()
+    for e in cf.iter_effective_values(k, graph.vertex_count):
+        reduced, _ = cf.reduce_divisor(values - cf.Divisor(graph, e), base_id)
+        if reduced[base_id] < 0:
+            return e, None
+        classes.add(reduced.values)
+    n = graph.vertex_count
+    return None, classes if len(classes) <= math.comb(k + n, n - 1) // n else None
+
+
+def _scan_cases(seed, count, max_candidates=1500):
+    """``(hat, base_reduced, base, top)``: seeded weighted or looped
+    instances of non-negative degree on their hat graphs, with ``top`` one
+    above the rank and at most ``max_candidates`` candidates at that
+    level."""
+    rank_module = importlib.import_module("chipfire.rank")
+    cases = []
+    for _, graph, divisor in seeded_instances(seed, 20 * count, max_value=4):
+        if divisor.degree < 0:
+            continue
+        if not any(graph.weights) and not any(graph.loop_count(v) for v in graph.vertex_ids):
+            continue
+        embedding = cf.hat_graph(graph)
+        hat, n = embedding.target, embedding.target.vertex_count
+        top = cf.rank(divisor).rank + 1
+        if math.comb(top + n - 1, n - 1) > max_candidates:
+            continue
+        values = cf.lift_divisor(embedding, divisor).values
+        base = rank_module._debt_base(values)
+        cases.append((hat, rank_module._reduce_indices(hat, list(values), base)[0], base, top))
+        if len(cases) == count:
+            break
+    return cases
+
+
+def test_scan_level_matches_a_per_tuple_reference():
+    rank_module = importlib.import_module("chipfire.rank")
+    scan = rank_module._scan_level
+    # one vertex: the hat is the graph, every step is at the base, and
+    # level 4 is past the degree
+    single = cf.Graph(["a"], [])
+    # (-1, 2) on two vertices joined by three edges has degree 1 and no
+    # effective representative, so level 0 fails with a non-negative degree
+    banana = binary_graph(2)
+    banana_base = 1
+    banana_reduced = rank_module._reduce_indices(banana, [-1, 2], banana_base)[0]
+    assert banana_reduced[banana_base] < 0 and sum(banana_reduced) >= 0
+    cases = _scan_cases(503, 30) + [(single, [3], 0, 4), (banana, banana_reduced, banana_base, 2)]
+    failures = 0
+    for graph, base_reduced, base, top in cases:
+        memo = {}
+        levels = list(range(top + 1))
+        if sum(base_reduced) >= top:
+            # one level past the degree takes the negative-degree branch
+            levels.append(sum(base_reduced) + 1)
+        for k in levels:
+            expected = _reference_scan(graph, base_reduced, base, k)
+            # the search's memo, shared across levels, and a fresh one
+            assert scan(graph, base_reduced, base, k, 10**6, memo) == expected
+            assert scan(graph, base_reduced, base, k, 10**6, {}) == expected
+            failures += expected[0] is not None
+        assert expected[0] is not None
+    assert failures >= len(cases)
+    assert scan(banana, banana_reduced, banana_base, 0, 10**6, {}) == ((0, 0), None)
+    assert scan(single, [3], 0, 4, 10**6, {}) == ((4,), None)
+
+
+def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
+    rank_module = importlib.import_module("chipfire.rank")
+    reduce_indices = rank_module._reduce_indices
+    calls = []
+
+    def counting(graph, values, base):
+        calls.append(base)
+        return reduce_indices(graph, values, base)
+
+    ids = [f"g{i}_{j}" for i in range(3) for j in range(4)]
+    edges = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(2) for j in range(4)]
+    edges += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(3) for j in range(3)]
+    all_ones = cf.Divisor(cf.Graph(ids, edges), (1,) * 12)
+    monkeypatch.setattr(rank_module, "_reduce_indices", counting)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        result = cf.rank(all_ones, exhaustive=True)
+        assert result.rank == 6
+        assert result.witness.nonzero_items() == (("g2_2", 7),)
+        counts.append(len(calls))
+    # 18,475 when every candidate was reduced from scratch; the same count
+    # again shows that nothing carried over from the first search
+    assert counts[0] <= 8000
+    assert counts[1] == counts[0]
 
 
 # -- rank-explicit ------------------------------------------------------------
