@@ -37,16 +37,22 @@ The enumeration keeps the class of D - e[:t] for every prefix of the
 current tuple e.  The lex successor raises one coordinate and clears the
 ones after it up to the last, so its class is one step from a kept
 prefix class plus one step per chip at the last vertex.  A step c - v
-needs a reduction only when c(v) = 0 off the base.  Each search keeps
-those answers in a memo of its own, shared by its levels and by the
-class expansion and dropped when the search ends: no step is reduced
-twice in one search, and no search is answered from another, so a check
-that ranks two representatives of one class still runs two searches.
+needs work only when c(v) = 0 off the base, and then the borrowing of
+phase 1 of the reduction settles it with no burn after it: c reduced
+means deg - 1 - c is a recurrent sandpile with the base as sink, c - v
+adds a grain to it, and its stabilization, which is the borrowing, is
+recurrent again, that is reduced (``_child``).  The witness is still
+certified by the full reduction.  Each search keeps those answers in a
+memo of its own, shared by its levels and by the class expansion and
+dropped when the search ends: no step is settled twice in one search,
+and no search is answered from another, so a check that ranks two
+representatives of one class still runs two searches.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -61,7 +67,15 @@ from .divisor import (
 )
 from .errors import BudgetError, DomainError, InternalError
 from .graph import Graph, hat_graph, strip_weights_and_loops, subdivide_loops
-from .reduction import _debt_base, _reduce_indices, is_reduced, is_saturation, reduce_divisor, saturate
+from .reduction import (
+    _borrow,
+    _debt_base,
+    _reduce_indices,
+    is_reduced,
+    is_saturation,
+    reduce_divisor,
+    saturate,
+)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -71,7 +85,7 @@ METHOD_REDUCED_NEGATIVE = "reduced-negative"
 METHOD_FORMULA = "formula"
 METHOD_RIEMANN_ROCH = "riemann-roch"
 
-# one search's reduced ``_child`` steps: (class, vertex) -> child class or None
+# one search's borrowed ``_child`` steps: (class, vertex) -> child class or None
 _Memo = dict[tuple[tuple[int, ...], int], Optional[tuple[int, ...]]]
 
 
@@ -124,9 +138,17 @@ def _child(
 
     c - v is already base-reduced when v is the base or c(v) > 0:
     subtracting a chip where there is one keeps c effective off the base
-    and makes no set avoiding the base fireable.  Only c(v) = 0 off the
-    base needs a reduction, and ``memo`` keeps those answers for the rest
-    of the search, keyed by ``(c, v)``."""
+    and makes no set avoiding the base fireable.  When c(v) = 0 off the
+    base, phase 1 of the reduction, the borrowing kernel ``_borrow``,
+    settles c - v alone, with no burn after it.  The hat graph is loopless
+    and the base is the sink: c base-reduced means deg - 1 - c is a
+    recurrent sandpile (the superstable/recurrent duality of Holroyd,
+    Levine, Meszaros, Peres, Propp and Wilson, arXiv:0801.3306); c - v is
+    that sandpile plus a grain at v; borrowing, which topples a vertex in
+    debt, is its stabilization; and a recurrent sandpile plus a grain
+    stabilizes to a recurrent one, so the result is superstable again,
+    that is base-reduced.  ``memo`` keeps these answers for the rest of
+    the search, keyed by ``(c, v)``."""
     if c[v] or v == base:
         child = list(c)
         child[v] -= 1
@@ -138,7 +160,7 @@ def _child(
         pass
     child = list(c)
     child[v] = -1
-    child, _ = _reduce_indices(graph, child, base)
+    _borrow(graph, child, base, deque((v,)), [0] * len(child))
     found = memo[key] = tuple(child) if child[base] >= 0 else None
     return found
 
@@ -192,8 +214,8 @@ def _scan_level(
     coordinate j by a chip and clears ``j+1..n-2``, so it keeps
     ``pc[:j+1]``, takes ``pc[j+1]`` one ``_child`` step at j, and copies
     it to the cleared prefixes; the tuple's class is then ``e[n-1]``
-    steps at the last vertex.  ``memo`` holds the search's reduced
-    ``_child`` steps and is shared by its levels, so a step is reduced
+    steps at the last vertex.  ``memo`` holds the search's borrowed
+    ``_child`` steps and is shared by its levels, so a step is settled
     once per search however many tuples or levels reach it.  A prefix
     class that is None fails every extension, so the first tuple that
     meets a None is the lex-first failing tuple.

@@ -8,7 +8,9 @@ Every divisor class has exactly one u-reduced representative, which is what
 makes a single burn-and-check decide equivalence to an effective divisor.
 
 The fire spreads only in ``_burn``; its ``room`` list gives Dhar's layers,
-reducedness (``max(room) < 0``) and the firing rule of a reduction.
+reducedness (``max(room) < 0``) and the firing rule of a reduction.  Debt
+is cleared only in ``_borrow``, phase 1 of every reduction and the whole
+of a rank search's class step.
 """
 
 from __future__ import annotations
@@ -114,12 +116,12 @@ def _fire_indices(graph: Graph, values: list[int], room: list[int], members: lis
     return times
 
 
-def _reduce_indices(
-    graph: Graph, values: list[int], base: int
-) -> tuple[list[int], list[int]]:
-    """Transform ``values`` into the unique base-reduced representative.
+def _borrow(
+    graph: Graph, values: list[int], base: int, debtors: deque[int], levels: list[int]
+) -> None:
+    """Clear the debt off the base by least-action borrowing, in place.
 
-    Phase 1 clears the debt off the base by least-action borrowing: a
+    ``debtors`` holds the vertices in debt off the base, each once.  A
     vertex in debt borrows (loses a firing level) ``k = ceil(debt / deg)``
     times at once, and a neighbour that crosses into debt is queued.  Each
     borrow is a legal toppling of the sandpile ``deg - 1 - D`` with the
@@ -130,14 +132,45 @@ def _reduce_indices(
     of debt opposite the base of a 30-cycle take 23k steps, 5.0M with a
     stack.  One chip of debt d steps from the base costs about n d steps,
     so callers that may choose put the base at the debt (``_debt_base``).
+
     Step guard: off the base the borrowing is b = G (D' - D), with D' the
-    result and G >= 0, G(v, w) <= n - 1 as in phase 2's guard; a vertex
-    ends below its degree if it borrows and only loses chips otherwise, so
-    (D' - D)(w) <= deg(w) - 1 + debt(w), and every step borrows at least
-    once: the steps number at most (n - 1)^2 sum(deg(w) - 1 + debt(w)).
-    The guard is read from the graph's degree table and the initial debt
-    off the base, (n - 1)^2 (sum(deg) - deg(base) - (n - 1) + debt), so
-    setting it up costs no pass over the edges.
+    result and G >= 0, G(v, w) <= n - 1 as in phase 2's guard of
+    ``_reduce_indices``; a vertex ends below its degree if it borrows and
+    only loses chips otherwise, so (D' - D)(w) <= deg(w) - 1 + debt(w),
+    and every step borrows at least once: the steps number at most
+    (n - 1)^2 sum(deg(w) - 1 + debt(w)) over w off the base.  The degrees
+    sum to 2 (g' + n - 1), with g' the loopless genus, so the guard is
+    (n - 1)^2 (2 g' + n - 1 - deg(base) + debt), and setting it up reads
+    only the debtors: a class step of the rank search, one chip of debt
+    at one vertex, pays O(n) for its copy of the values and nothing more.
+    """
+    n = len(values)
+    degree = graph._degrees
+    adj_items = graph._adj_items
+    debt = -sum(map(values.__getitem__, debtors))
+    guard = (n - 1) ** 2 * (2 * graph._loopless_genus + n - 1 - degree[base] + debt)
+    while debtors:
+        v = debtors.popleft()  # still in debt: only its own borrowing adds chips
+        times = (degree[v] - 1 - values[v]) // degree[v]
+        values[v] += degree[v] * times
+        levels[v] -= times
+        for w, mult in adj_items[v]:
+            lost = mult * times
+            if 0 <= values[w] < lost and w != base:
+                debtors.append(w)
+            values[w] -= lost
+        guard -= 1
+        if guard < 0:
+            raise InternalError("debt clearing did not terminate within its step guard")
+
+
+def _reduce_indices(
+    graph: Graph, values: list[int], base: int
+) -> tuple[list[int], list[int]]:
+    """Transform ``values`` into the unique base-reduced representative.
+
+    Phase 1 clears the debt off the base by least-action borrowing, the
+    kernel ``_borrow``, which the rank search's class steps share.
 
     Phase 2 repeatedly burns from the base and fires the unburned set U as
     many times as every member can afford, ``t = min(d(v) // out(v))`` over
@@ -163,10 +196,13 @@ def _reduce_indices(
     reduces again: every pass starts within 2g' + n - 1 chips, and the
     passes number log2 of the chips.  They run in a loop, as recursion
     would fail past about 2^1000 chips.  A divisor within the bound takes
-    a single pass on D itself.  The bound is checked when the first round
-    would fire, so the many divisors that are reduced once their debt is
-    cleared pay nothing for it (a reduced divisor is within the bound),
-    and a pile above it pays one burn of D before the halving.
+    a single pass on D itself.  The bound is checked once the first round
+    has fired on D, and D is then the divisor after that round: the many
+    divisors that are reduced once their debt is cleared pay nothing for
+    it, a small pile that one round settles is not halved (``[-1, 4]`` at
+    the base of two vertices joined by two edges takes 2 burns, not the 4
+    of halving first), and a pile still above the bound pays one round
+    before the halving.
 
     Step guard, per pass, set when its first round fires.  Let D be the
     divisor when a pass starts, S its chips off the base and X the pass's
@@ -185,25 +221,9 @@ def _reduce_indices(
     """
     n = graph.vertex_count
     levels = [0] * n
-    adj_items = graph._adj_items
-
     debtors = deque([v for v, x in enumerate(values) if x < 0 and v != base])
     if debtors:
-        degree = graph._degrees
-        debt = -sum(values[v] for v in debtors)
-        guard = (n - 1) ** 2 * (sum(degree) - degree[base] - (n - 1) + debt)
-        while debtors:
-            v = debtors.popleft()  # still in debt: only its own borrowing adds chips
-            times = (degree[v] - 1 - values[v]) // degree[v]
-            values[v] += degree[v] * times
-            levels[v] -= times
-            for w, mult in adj_items[v]:
-                if 0 <= values[w] < mult * times and w != base:
-                    debtors.append(w)
-                values[w] -= mult * times
-            guard -= 1
-            if guard < 0:
-                raise InternalError("debt clearing did not terminate within its step guard")
+        _borrow(graph, values, base, debtors, levels)
 
     pile, borrowed, shift = values, levels, 0
     while True:
@@ -212,14 +232,8 @@ def _reduce_indices(
             room = _burn(graph, values, base)
             if max(room) < 0:
                 break
-            if not rounds:  # the pass fires: halve a pile above the bound, else set the guard
-                chips = sum(values) - values[base]
-                unit = 2 * graph._loopless_genus + n  # one more than the bound
-                if values is pile and chips >= unit:
-                    shift = (chips // unit).bit_length()
-                    values, levels = [x >> shift for x in pile], [0] * n
-                    continue
-                guard = (n - 1) ** 2 * chips
+            if not rounds:
+                guard = (n - 1) ** 2 * (sum(values) - values[base])
             unburned = [v for v, r in enumerate(room) if r >= 0]
             rounds += 1
             times = _fire_indices(graph, values, room, unburned)
@@ -227,6 +241,12 @@ def _reduce_indices(
                 raise InternalError("reduction did not terminate within its step guard")
             for v in unburned:
                 levels[v] += times
+            if values is pile and rounds == 1:  # halve a pile still above the bound
+                chips = sum(values) - values[base]
+                unit = 2 * graph._loopless_genus + n  # one more than the bound
+                if chips >= unit:
+                    shift = (chips // unit).bit_length()
+                    values, levels, rounds = [x >> shift for x in pile], [0] * n, 0
         if not shift:
             break
         shift -= 1

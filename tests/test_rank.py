@@ -328,19 +328,26 @@ def test_scan_level_matches_a_per_tuple_reference():
 
 
 def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
+    # a class step reduces through the borrowing kernel alone, and the rest
+    # through the full reduction: both are counted where rank reaches them
     rank_module = importlib.import_module("chipfire.rank")
-    reduce_indices = rank_module._reduce_indices
+    reduce_indices, borrow = rank_module._reduce_indices, rank_module._borrow
     calls = []
 
     def counting(graph, values, base):
         calls.append(base)
         return reduce_indices(graph, values, base)
 
+    def counting_borrow(graph, values, base, debtors, levels):
+        calls.append(base)
+        return borrow(graph, values, base, debtors, levels)
+
     ids = [f"g{i}_{j}" for i in range(3) for j in range(4)]
     edges = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(2) for j in range(4)]
     edges += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(3) for j in range(3)]
     all_ones = cf.Divisor(cf.Graph(ids, edges), (1,) * 12)
     monkeypatch.setattr(rank_module, "_reduce_indices", counting)
+    monkeypatch.setattr(rank_module, "_borrow", counting_borrow)
     counts = []
     for _ in range(2):
         calls.clear()
@@ -352,6 +359,50 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     # again shows that nothing carried over from the first search
     assert counts[0] <= 8000
     assert counts[1] == counts[0]
+
+
+def test_class_step_by_borrowing_alone_is_the_reduction(monkeypatch):
+    # every step c - v with c(v) = 0 off the base that a search meets, on
+    # weighted or looped hat graphs, checked against the full reduction
+    rank_module = importlib.import_module("chipfire.rank")
+    child = rank_module._child
+    steps = {}
+
+    def recording(graph, base, memo, c, v):
+        if not c[v] and v != base:
+            steps[graph, base, c, v] = None
+        return child(graph, base, memo, c, v)
+
+    monkeypatch.setattr(rank_module, "_child", recording)
+    for hat, base_reduced, base, top in _scan_cases(1303, 30):
+        memo, classes = {}, None
+        for k in range(top + 1):
+            _, classes = rank_module._scan_level(hat, base_reduced, base, k, 10**6, memo, classes)
+    negative = 0
+    for graph, base, c, v in steps:
+        base_id = graph.vertex_ids[base]
+        assert cf.is_reduced(cf.Divisor(graph, c), base_id)
+        step = child(graph, base, {}, c, v)
+        minus = list(c)
+        minus[v] -= 1
+        reduced, _ = cf.reduce_divisor(cf.Divisor(graph, minus), base_id)
+        if reduced.values[base] < 0:
+            assert step is None
+            negative += 1
+        else:
+            assert step == reduced.values
+            assert cf.is_reduced(cf.Divisor(graph, step), base_id)
+    assert len(steps) >= 500 and 0 < negative < len(steps)
+
+    # the step needs c reduced: on a path from the base, (3, 0, 5) is not,
+    # and borrowing alone at the middle vertex leaves (2, 1, 4), from which
+    # {b, c} can still fire
+    path = cf.Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert not cf.is_reduced(cf.Divisor(path, (3, 0, 5)), "a")
+    step = child(path, 0, {}, (3, 0, 5), 1)
+    assert step == (2, 1, 4)
+    assert not cf.is_reduced(cf.Divisor(path, step), "a")
+    assert cf.reduce_divisor(cf.Divisor(path, step), "a")[0].values == (7, 0, 0)
 
 
 # -- rank-explicit ------------------------------------------------------------

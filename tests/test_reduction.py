@@ -277,6 +277,23 @@ def test_halving_bound_ignores_loops_and_weights():
     assert [x.values for x in looped] == [x.values for x in stripped]
 
 
+def test_halving_waits_for_the_first_round(monkeypatch):
+    # 4 chips off the base reach the bound 2g' + n - 1 = 3, but one round
+    # settles them: burn, fire twice, burn.  Halving before that round
+    # would take two burns per bit
+    burns = []
+
+    def counting(graph, values, base):
+        burns.append(base)
+        return _burn(graph, values, base)
+
+    monkeypatch.setattr(chipfire.reduction, "_burn", counting)
+    reduced, script = cf.reduce_divisor(cf.Divisor(binary_graph(1), (-1, 4)), "v1")
+    assert reduced.values == (3, 0)
+    assert script.levels == (0, 2)
+    assert len(burns) == 2
+
+
 def _cycle(n):
     ids = [f"v{i}" for i in range(n)]
     return cf.Graph(ids, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
