@@ -104,14 +104,13 @@ def _cmd_rank(args, _graph, divisor: Divisor) -> int:
     payload = {
         "rank": result.rank,
         "method": result.method,
-        "witness": result.witness.as_dict() if result.witness is not None else None,
-        "witness_degree": result.witness.degree if result.witness is not None else None,
+        "witness": result.witness.as_dict(),
+        "witness_degree": result.witness.degree,
     }
-    lines = [f"rank = {result.rank} (method: {result.method})"]
-    if result.witness is not None:
-        lines.append(
-            f"witness: {render_divisor(result.witness) or '0'} (degree {result.witness.degree})"
-        )
+    lines = [
+        f"rank = {result.rank} (method: {result.method})",
+        f"witness: {render_divisor(result.witness) or '0'} (degree {result.witness.degree})",
+    ]
     _emit(args, payload, lines)
     return 0
 

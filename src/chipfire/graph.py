@@ -31,9 +31,10 @@ class Graph:
     each loop twice, which is what makes the canonical divisor come out
     with total degree ``2*genus - 2``.
 
-    Per-graph tables (adjacency rows, vertex degrees, the loopless genus)
-    are computed once at construction, which is safe because graphs are
-    immutable.
+    Per-graph tables are computed once at construction, which is safe
+    because graphs are immutable: one adjacency table (for each vertex, its
+    ``(neighbour, multiplicity)`` pairs sorted by neighbour index, loops
+    excluded), the loop counts, the vertex degrees and the loopless genus.
     """
 
     __slots__ = (
@@ -41,7 +42,6 @@ class Graph:
         "_index",
         "_weights",
         "_loops",
-        "_adj",
         "_adj_items",
         "_degrees",
         "_loopless_genus",
@@ -99,7 +99,6 @@ class Graph:
         self._index = index
         self._weights = tuple(weights)
         self._loops = tuple(loops)
-        self._adj = tuple(adj)
         self._adj_items = tuple(tuple(sorted(row.items())) for row in adj)
         self._degrees = tuple(sum(row.values()) for row in adj)  # loops excluded
         self._connected: bool | None = None
@@ -151,7 +150,7 @@ class Graph:
         i, j = self.index(a), self.index(b)
         if i == j:
             return self._loops[i]
-        return self._adj[i].get(j, 0)
+        return next((mult for w, mult in self._adj_items[i] if w == j), 0)
 
     def edge_items(self) -> tuple[tuple[tuple[str, str], int], ...]:
         """All edges as ((a, b), multiplicity), loops as ((v, v), count), in index order."""
@@ -189,7 +188,7 @@ class Graph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in self._adj[v]:
+                for w, _ in self._adj_items[v]:
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)

@@ -120,13 +120,13 @@ def brute_is_reduced(divisor: Divisor, base: str) -> bool:
     if any(vals[i] < 0 for i in range(n) if i != u):
         return False
     others = [i for i in range(n) if i != u]
-    adj = graph._adj
-    outward = [sum(adj[i].values()) for i in range(n)]  # loops excluded by construction
+    adj = graph._adj_items
+    outward = [sum(m for _, m in adj[i]) for i in range(n)]  # loops excluded by construction
     for mask in range(1, 1 << len(others)):
         inside = [others[t] for t in range(len(others)) if mask >> t & 1]
         member = set(inside)
         for v in inside:
-            to_outside = outward[v] - sum(m for w, m in adj[v].items() if w in member)
+            to_outside = outward[v] - sum(m for w, m in adj[v] if w in member)
             if vals[v] < to_outside:
                 break
         else:

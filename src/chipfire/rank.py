@@ -13,11 +13,12 @@ cheapest to clear at its own vertex, so ``_debt_base`` picks the base.
 Fast paths pick a starting level; one loop searches and certifies.  Level
 k holds the classes of D - e for the effective e of degree k, and the rank
 is one less than the first level with a class that has no effective
-representative.  Four exact fast paths know the rank r and start at level
-r + 1, which must fail: the degree formula on a single vertex, rank -1
-when the base-reduced representative is negative at the base, the minimal
-rank capacity for an effective divisor reduced at a vertex attaining it,
-and Riemann-Roch when K - D has the smaller degree.  The last ranks the
+representative.  Three exact fast paths know the rank r and start at level
+r + 1, which must fail: rank -1 when the base-reduced representative is
+negative at the base, the minimal rank capacity for an effective divisor
+reduced at a vertex attaining it (which settles every divisor on a single
+vertex: it is reduced there, so its rank is the degree formula), and
+Riemann-Roch when K - D has the smaller degree.  The last ranks the
 dual K - D on the hat graph (canonical value deg(v) - 2, minus the lifted
 values) through the same routine and starts D's search at
 r(K - D) + deg D - g + 2 (Baker-Norine; for weighted and looped graphs
@@ -62,7 +63,6 @@ from .divisor import (
     iter_effective_values,
     lift_divisor,
     rank_capacity,
-    rank_for_degree,
     rank_lower_bound,
 )
 from .errors import BudgetError, DomainError, InternalError
@@ -82,7 +82,6 @@ DEFAULT_BUDGET = 10_000_000
 METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_RANK_EXPLICIT = "rank-explicit"
 METHOD_REDUCED_NEGATIVE = "reduced-negative"
-METHOD_FORMULA = "formula"
 METHOD_RIEMANN_ROCH = "riemann-roch"
 
 # one search's borrowed ``_child`` steps: (class, vertex) -> child class or None
@@ -100,7 +99,7 @@ class RankResult:
     """
 
     rank: int
-    witness: Optional[Divisor]
+    witness: Divisor
     method: str
 
 
@@ -311,11 +310,11 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     """The combinatorial rank of a divisor on any connected graph.
 
     Unless ``exhaustive``, a fast path may fix the rank and start the
-    search at the level above it: the single-vertex formula,
-    ``reduced-negative``, ``rank-explicit``, or ``riemann-roch`` when
-    deg(K - D) < deg D, which ranks K - D on the hat graph first.  With
-    ``exhaustive=True`` every fast path is skipped and the definition is
-    evaluated directly on the hat graph, level by level: a level is
+    search at the level above it: ``reduced-negative``, ``rank-explicit``
+    (which answers every divisor on a single vertex), or ``riemann-roch``
+    when deg(K - D) < deg D, which ranks K - D on the hat graph first.
+    With ``exhaustive=True`` every fast path is skipped and the definition
+    is evaluated directly on the hat graph, level by level: a level is
     decided from the previous level's classes when that is cheaper than
     enumerating its candidates, and the failing level is always enumerated
     in lex order.  The value and witness are identical either way.  Raises
@@ -331,10 +330,6 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     start = None
     if exhaustive:
         start = METHOD_EXHAUSTIVE, 0
-    elif graph.vertex_count == 1:
-        d0 = divisor.values[0]
-        k = rank_for_degree(d0, graph.local_genus(graph.vertex_ids[0])) + 1 if d0 >= 0 else 0
-        start = METHOD_FORMULA, k
     # an effective divisor's class is never reduced-negative, so this test
     # may precede that one
     elif divisor.is_effective:

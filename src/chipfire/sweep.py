@@ -147,14 +147,15 @@ def _search_cost(hat_vertices: int, degree: int, genus: int) -> int:
 
 def _instance_cost(graph: Graph, divisor: Divisor) -> int:
     genus = graph.genus()
-    hat_n = graph.vertex_count + sum(graph.local_genus(v) for v in graph.vertex_ids)
+    local = sum(graph.local_genus(v) for v in graph.vertex_ids)
+    hat_n = graph.vertex_count + local
     degree = divisor.degree
     canonical_degree = 2 * genus - 2 - degree
-    stripped = strip_weights_and_loops(graph)
     cost = 4 * _search_cost(hat_n, degree, genus)  # d, shift, bullet, fast-path re-run
     cost += _search_cost(hat_n, canonical_degree, genus)
     cost += _search_cost(hat_n, degree + 2, genus)  # monotone bump
-    cost += _search_cost(stripped.vertex_count, degree, stripped.genus())
+    # the stripped graph: the same vertices, the genus less the local genera
+    cost += _search_cost(graph.vertex_count, degree, genus - local)
     return cost
 
 

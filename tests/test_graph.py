@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,58 @@ def test_empty_graph_is_not_connected():
         cf.rank_lower_bound(d)
     empty_script = cf.FiringScript(g, ())
     assert empty_script.normalized() is empty_script
+
+
+# -- adjacency accessors -----------------------------------------------------
+
+
+def _seeded_multigraphs(seed, count):
+    """Graphs with parallel edges, loops, isolated vertices and, often,
+    several components."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ids = [f"v{i}" for i in range(rng.randint(1, 9))]
+        edges = [
+            (rng.choice(ids), rng.choice(ids), rng.randint(1, 3))
+            for _ in range(rng.randint(0, len(ids) + 2))
+        ]
+        yield cf.Graph(ids, edges)
+
+
+def test_multiplicity_and_components_match_edge_items():
+    shapes = set()  # which of the listed features the draws covered
+    for g in _seeded_multigraphs(14, 300):
+        ids = g.vertex_ids
+        counts = {}
+        parent = {v: v for v in ids}
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for (a, b), mult in g.edge_items():
+            counts[a, b] = counts.get((a, b), 0) + mult
+            if a != b:
+                counts[b, a] = counts.get((b, a), 0) + mult
+            parent[find(a)] = find(b)
+        for a in ids:
+            for b in ids:
+                assert g.multiplicity(a, b) == counts.get((a, b), 0)
+        groups = {}
+        for v in ids:
+            groups.setdefault(find(v), []).append(v)
+        assert g.components() == tuple(tuple(group) for group in groups.values())
+        if len(groups) > 1:
+            shapes.add("components")
+        if any(all((v, w) not in counts for w in ids) for v in ids):
+            shapes.add("isolated")
+        if any(m > 1 for (a, b), m in counts.items() if a != b):
+            shapes.add("parallel")
+        if any(a == b for a, b in counts):
+            shapes.add("loops")
+    assert shapes == {"components", "isolated", "parallel", "loops"}
+    assert "_adj" not in cf.Graph.__slots__
 
 
 # -- valency -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import time
 
 import pytest
 
@@ -68,7 +69,12 @@ def test_rank_fast_path_level_must_fail(monkeypatch):
     # that passes; the search must refuse rather than go on looking
     d = cf.Divisor(cf.Graph([("a", 2)]), (3,))
     assert cf.rank(d).rank == 1
-    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "rank_for_degree", lambda d, g: 0)
+    # zero capacities make rank-explicit claim rank 0
+    monkeypatch.setattr(
+        importlib.import_module("chipfire.rank"),
+        "rank_capacity",
+        lambda divisor: cf.Divisor(divisor.graph, [0] * divisor.graph.vertex_count),
+    )
     with pytest.raises(cf.InternalError, match="one degree above the computed rank"):
         cf.rank(d)
     assert cf.rank(d, exhaustive=True).rank == 1
@@ -80,13 +86,32 @@ def test_rank_three_component():
 
 
 def test_rank_single_vertex_formula():
-    for local in range(4):
-        g = cf.Graph([("v", local)])
-        for d0 in range(-2, 9):
-            result = cf.rank(cf.Divisor(g, (d0,)))
-            expected = max(d0 - local, d0 // 2) if d0 >= 0 else -1
-            assert result.rank == expected
-            assert result.method == "formula"
+    # a divisor on one vertex is reduced there, so rank-explicitness gives
+    # the degree formula, and a negative one is settled as reduced-negative
+    for weight in range(4):
+        for loops in range(3):
+            g = cf.Graph([("v", weight)], [("v", "v", loops)] if loops else [])
+            local = weight + loops
+            for d0 in range(-2, 9):
+                d = cf.Divisor(g, (d0,))
+                result = cf.rank(d)
+                expected = max(d0 - local, d0 // 2) if d0 >= 0 else -1
+                assert result.rank == expected
+                assert result.method == ("rank-explicit" if d0 >= 0 else "reduced-negative")
+                exact = cf.rank(d, exhaustive=True)
+                assert (result.rank, result.witness) == (exact.rank, exact.witness)
+
+
+def test_rank_heavy_single_vertex_is_fast():
+    # rank-explicit starts a heavy vertex at its failing level, so neither
+    # call walks the levels below it
+    start = time.perf_counter()
+    assert cf.rank(cf.Divisor(cf.load_fixture("rose(18)").graph, (17,))).rank == 8
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with pytest.raises(cf.BudgetError, match="degree-10 enumeration needs 30045015 candidates"):
+        cf.rank(cf.Divisor(cf.load_fixture("rose(20)").graph, (19,)))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_rank_negative_class(dhar5):
