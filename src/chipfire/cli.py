@@ -2,10 +2,12 @@
 
 Every subcommand but ``sweep`` reads a plain-text graph file (see
 :mod:`chipfire.textio`), which ``main`` loads once, together with the
-``--divisor`` literal where the subcommand takes one; every subcommand
-prints either human-readable lines or, with ``--json``, one stable JSON
-object.  Exit codes: 0 success, 1 domain error (bad input data, property
-failure), 2 usage error.
+``--divisor`` literal where the subcommand takes one.  Every subcommand
+returns a JSON payload and its human-readable lines, and ``main`` alone
+prints them: the lines, or with ``--json`` the payload as one stable JSON
+object.  Exit codes: 0 success, 1 domain error (bad input data) or a
+payload whose ``ok`` is false (``rr-check``, ``clifford``, ``sweep``), 2
+usage error.
 """
 
 from __future__ import annotations
@@ -50,56 +52,43 @@ def _graph_payload(graph: Graph) -> dict:
     }
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _cmd_genus(args, graph: Graph, _divisor) -> int:
+def _cmd_genus(args, graph: Graph, _divisor) -> tuple[dict, list[str]]:
     value = graph.genus()
-    _emit(args, {"genus": value}, [f"genus = {value}"])
-    return 0
+    return {"genus": value}, [f"genus = {value}"]
 
 
-def _cmd_canonical(args, graph: Graph, _divisor) -> int:
+def _cmd_canonical(args, graph: Graph, _divisor) -> tuple[dict, list[str]]:
     divisor = graph.canonical_divisor()
-    _emit(
-        args,
+    return (
         {"divisor": divisor.as_dict(), "degree": divisor.degree},
         [f"canonical divisor: {render_divisor(divisor) or '0'} (degree {divisor.degree})"],
     )
-    return 0
 
 
-def _emit_derived(args, derived: Graph, added: Mapping[str, tuple[str, ...]]) -> int:
+def _derived(derived: Graph, added: Mapping[str, tuple[str, ...]]) -> tuple[dict, list[str]]:
     """A derived graph plus the fresh vertices added for each original one."""
     payload = _graph_payload(derived)
     payload["added"] = {v: list(zs) for v, zs in added.items()}
     lines = [render_graph(derived).rstrip()]
     lines.extend(f"# added for {v}: {' '.join(zs)}" for v, zs in added.items() if zs)
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_hat(args, graph: Graph, _divisor) -> int:
+def _cmd_hat(args, graph: Graph, _divisor) -> tuple[dict, list[str]]:
     embedding = hat_graph(graph)
-    return _emit_derived(args, embedding.target, embedding.added)
+    return _derived(embedding.target, embedding.added)
 
 
-def _cmd_g0(args, graph: Graph, _divisor) -> int:
+def _cmd_g0(args, graph: Graph, _divisor) -> tuple[dict, list[str]]:
     stripped = strip_weights_and_loops(graph)
-    _emit(args, _graph_payload(stripped), [render_graph(stripped).rstrip()])
-    return 0
+    return _graph_payload(stripped), [render_graph(stripped).rstrip()]
 
 
-def _cmd_bullet(args, graph: Graph, _divisor) -> int:
-    return _emit_derived(args, *subdivide_loops(graph))
+def _cmd_bullet(args, graph: Graph, _divisor) -> tuple[dict, list[str]]:
+    return _derived(*subdivide_loops(graph))
 
 
-def _cmd_rank(args, _graph, divisor: Divisor) -> int:
+def _cmd_rank(args, _graph, divisor: Divisor) -> tuple[dict, list[str]]:
     result = rank(divisor, budget=args.budget, exhaustive=args.exhaustive)
     payload = {
         "rank": result.rank,
@@ -111,22 +100,18 @@ def _cmd_rank(args, _graph, divisor: Divisor) -> int:
         f"rank = {result.rank} (method: {result.method})",
         f"witness: {render_divisor(result.witness) or '0'} (degree {result.witness.degree})",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_reduce(args, _graph, divisor: Divisor) -> int:
+def _cmd_reduce(args, _graph, divisor: Divisor) -> tuple[dict, list[str]]:
     reduced, script = reduce_divisor(divisor, args.base)
-    payload = {"reduced": reduced.as_dict(), "script": script.as_dict()}
-    _emit(
-        args,
-        payload,
+    return (
+        {"reduced": reduced.as_dict(), "script": script.as_dict()},
         [f"reduced: {render_divisor(reduced) or '0'}", f"script: {render_divisor(script) or '0'}"],
     )
-    return 0
 
 
-def _cmd_dhar(args, graph: Graph, divisor: Divisor) -> int:
+def _cmd_dhar(args, graph: Graph, divisor: Divisor) -> tuple[dict, list[str]]:
     decomposition = dhar(divisor, args.base)
     payload = {
         "layers": [_ordered(graph, layer) for layer in decomposition.layers],
@@ -138,11 +123,10 @@ def _cmd_dhar(args, graph: Graph, divisor: Divisor) -> int:
         f"unburned: {_set_text(graph, decomposition.unburned)}",
         f"reduced: {'yes' if decomposition.is_reduced else 'no'}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_equiv(args, graph: Graph, divisor: Divisor) -> int:
+def _cmd_equiv(args, graph: Graph, divisor: Divisor) -> tuple[dict, list[str]]:
     script = equivalence_script(divisor, parse_divisor(args.other, graph))
     payload = {
         "equivalent": script is not None,
@@ -151,33 +135,27 @@ def _cmd_equiv(args, graph: Graph, divisor: Divisor) -> int:
     lines = [f"equivalent: {'yes' if script is not None else 'no'}"]
     if script is not None:
         lines.append(f"script: {render_divisor(script) or '0'}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_saturate(args, _graph, divisor: Divisor) -> int:
+def _cmd_saturate(args, _graph, divisor: Divisor) -> tuple[dict, list[str]]:
     saturated, added = saturate(divisor, args.base)
-    payload = {"added_edges": added, "graph": _graph_payload(saturated)}
-    _emit(
-        args,
-        payload,
+    return (
+        {"added_edges": added, "graph": _graph_payload(saturated)},
         [f"added edges: m = {added}", render_graph(saturated).rstrip()],
     )
-    return 0
 
 
-def _cmd_rr_check(args, _graph, divisor: Divisor) -> int:
+def _cmd_rr_check(args, _graph, divisor: Divisor) -> tuple[dict, list[str]]:
     residual = riemann_roch_residual(divisor, budget=args.budget)
     ok = residual == 0
-    _emit(
-        args,
+    return (
         {"residual": residual, "ok": ok},
         [f"riemann-roch residual = {residual} ({'ok' if ok else 'VIOLATION'})"],
     )
-    return 0 if ok else 1
 
 
-def _cmd_clifford(args, graph: Graph, divisor: Divisor) -> int:
+def _cmd_clifford(args, graph: Graph, divisor: Divisor) -> tuple[dict, list[str]]:
     value = rank(divisor, budget=args.budget).rank
     applicable = 0 <= divisor.degree <= 2 * graph.genus() - 2 and value >= 0
     ok = not applicable or value <= divisor.degree // 2
@@ -192,11 +170,10 @@ def _cmd_clifford(args, graph: Graph, divisor: Divisor) -> int:
         line = f"clifford: rank {value} <= {divisor.degree // 2}: {'ok' if ok else 'VIOLATION'}"
     else:
         line = "clifford: not applicable (vacuously ok)"
-    _emit(args, payload, [line])
-    return 0 if ok else 1
+    return payload, [line]
 
 
-def _cmd_sweep(args, _graph, _divisor) -> int:
+def _cmd_sweep(args, _graph, _divisor) -> tuple[dict, list[str]]:
     config = SweepConfig(
         trials=args.trials,
         max_vertices=args.vertices,
@@ -221,8 +198,7 @@ def _cmd_sweep(args, _graph, _divisor) -> int:
     lines.append(f"failures: {len(report.failures)}")
     lines.extend(report.failures)
     lines.append("result: PASS" if report.ok else "result: FAIL")
-    _emit(args, payload, lines)
-    return 0 if report.ok else 1
+    return payload, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -291,10 +267,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         graph = _load_graph(args.graph) if "graph" in args else None
         divisor = parse_divisor(args.divisor, graph) if "divisor" in args else None
-        return args.func(args, graph, divisor)
+        payload, lines = args.func(args, graph, divisor)
     except ChipfireError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    return 1 if payload.get("ok") is False else 0
 
 
 if __name__ == "__main__":

@@ -175,17 +175,6 @@ class _Sweep:
             config=config, checks={name: 0 for name in CHECK_NAMES}
         )
 
-    # -- plumbing --------------------------------------------------------
-
-    def _tick(self, name: str) -> None:
-        self.report.checks[name] += 1
-
-    def _fail(self, trial: int, name: str, detail: str, graph: Graph, divisor: Divisor) -> None:
-        loc = render_graph(graph).replace("\n", "; ").strip("; ")
-        self.report.failures.append(
-            f"trial {trial}: {name}: {detail} [graph: {loc}] [divisor: {render_divisor(divisor) or '0'}]"
-        )
-
     def _draw_instance(self) -> tuple[Graph, Divisor]:
         cfg = self.config
         for _ in range(1000):
@@ -202,117 +191,102 @@ class _Sweep:
 
     def _run_instance(self, trial: int, graph: Graph, divisor: Divisor) -> None:
         rng = self.rng
+        report = self.report
         n = graph.vertex_count
         ids = graph.vertex_ids
         genus = graph.genus()
         degree = divisor.degree
+
+        def check(name: str, *details: str | None) -> None:
+            """Count one run of ``name`` and record a failure line for each
+            detail that is not None (a detail is built only on failure)."""
+            report.checks[name] += 1
+            for detail in details:
+                if detail is not None:
+                    loc = render_graph(graph).replace("\n", "; ").strip("; ")
+                    report.failures.append(
+                        f"trial {trial}: {name}: {detail} [graph: {loc}] "
+                        f"[divisor: {render_divisor(divisor) or '0'}]"
+                    )
 
         # exhaustive, so that no check below is answered by the theorem it tests
         result = rank(divisor)
         exact = result if result.method == METHOD_EXHAUSTIVE else rank(divisor, exhaustive=True)
         value = exact.rank
 
-        canonical = graph.canonical_divisor()
-        dual = rank(canonical - divisor, exhaustive=True).rank
-        if value - dual != degree - genus + 1:
-            self._fail(
-                trial,
-                "riemann-roch",
-                f"rank {value}, dual rank {dual}, degree {degree}, genus {genus}",
-                graph,
-                divisor,
-            )
-        self._tick("riemann-roch")
-
-        if 0 <= degree <= 2 * genus - 2 and value >= 0 and value > degree // 2:
-            self._fail(trial, "clifford", f"rank {value} > {degree // 2}", graph, divisor)
-        self._tick("clifford")
+        dual = rank(graph.canonical_divisor() - divisor, exhaustive=True).rank
+        check(
+            "riemann-roch",
+            f"rank {value}, dual rank {dual}, degree {degree}, genus {genus}"
+            if value - dual != degree - genus + 1 else None,
+        )
+        check(
+            "clifford",
+            f"rank {value} > {degree // 2}"
+            if 0 <= degree <= 2 * genus - 2 and value >= 0 and value > degree // 2 else None,
+        )
 
         script = FiringScript(graph, [rng.randint(0, 2) for _ in ids])
         shifted = divisor + apply_script(script)
-        if rank(shifted).rank != value:
-            self._fail(trial, "class-invariance", "rank changed under a principal shift", graph, divisor)
-        self._tick("class-invariance")
+        check(
+            "class-invariance",
+            "rank changed under a principal shift" if rank(shifted).rank != value else None,
+        )
 
-        if value < rank_lower_bound(divisor):
-            self._fail(
-                trial,
-                "lower-bound",
-                f"rank {value} below capacity bound {rank_lower_bound(divisor)}",
-                graph,
-                divisor,
-            )
-        self._tick("lower-bound")
+        bound = rank_lower_bound(divisor)
+        check("lower-bound", f"rank {value} below capacity bound {bound}" if value < bound else None)
 
         bump_values = [0] * n
         bump_values[rng.randrange(n)] += 1
         bump_values[rng.randrange(n)] += 1
         bumped = divisor + Divisor(graph, bump_values)
-        if rank(bumped).rank < value:
-            self._fail(trial, "monotonicity", "rank dropped after adding chips", graph, divisor)
-        self._tick("monotonicity")
+        check("monotonicity", "rank dropped after adding chips" if rank(bumped).rank < value else None)
 
         stripped = strip_weights_and_loops(graph)
         on_stripped = divisor if stripped is graph else Divisor(stripped, divisor.values)
         stripped_value = rank(on_stripped).rank
-        if stripped_value < value or (stripped_value == -1) != (value == -1):
-            self._fail(
-                trial,
-                "g0-comparison",
-                f"stripped rank {stripped_value} vs rank {value}",
-                graph,
-                divisor,
-            )
-        self._tick("g0-comparison")
+        check(
+            "g0-comparison",
+            f"stripped rank {stripped_value} vs rank {value}"
+            if stripped_value < value or (stripped_value == -1) != (value == -1) else None,
+        )
 
         subdivided, _ = subdivide_loops(graph)
-        if subdivided is not graph:
-            extended = Divisor(subdivided, divisor.as_dict())
-            if rank(extended).rank != value:
-                self._fail(trial, "bullet-identity", "rank changed under loop subdivision", graph, divisor)
-        self._tick("bullet-identity")
+        check(
+            "bullet-identity",
+            "rank changed under loop subdivision"
+            if subdivided is not graph and rank(Divisor(subdivided, divisor.as_dict())).rank != value
+            else None,
+        )
 
-        if not -1 <= value <= max(-1, degree):
-            self._fail(trial, "high-degree", f"rank {value} outside [-1, max(-1, {degree})]", graph, divisor)
-        if degree < 0 and value != -1:
-            self._fail(trial, "high-degree", f"negative degree {degree} but rank {value}", graph, divisor)
-        if degree >= 2 * genus - 1 and value != degree - genus:
-            self._fail(
-                trial,
-                "high-degree",
-                f"degree {degree} >= 2g-1 but rank {value} != {degree - genus}",
-                graph,
-                divisor,
-            )
-        self._tick("high-degree")
+        check(
+            "high-degree",
+            f"rank {value} outside [-1, max(-1, {degree})]"
+            if not -1 <= value <= max(-1, degree) else None,
+            f"negative degree {degree} but rank {value}" if degree < 0 and value != -1 else None,
+            f"degree {degree} >= 2g-1 but rank {value} != {degree - genus}"
+            if degree >= 2 * genus - 1 and value != degree - genus else None,
+        )
 
         embedding = hat_graph(graph)
         lifted = lift_divisor(embedding, divisor)
         zero_base = any(
             reduce_divisor(lifted, u)[0][u] == 0 for u in embedding.target.vertex_ids
         )
-        if (value == 0) != zero_base:
-            self._fail(
-                trial,
-                "rank-zero-characterization",
-                f"rank {value} but zero-at-base reduced representative exists: {zero_base}",
-                graph,
-                divisor,
-            )
-        self._tick("rank-zero-characterization")
+        check(
+            "rank-zero-characterization",
+            f"rank {value} but zero-at-base reduced representative exists: {zero_base}"
+            if (value == 0) != zero_base else None,
+        )
 
         if result is not exact:
-            if (result.rank, result.witness) != (value, exact.witness):
-                self._fail(
-                    trial,
-                    "fast-path-agreement",
-                    f"{result.method} gave {result.rank} with witness "
-                    f"{render_divisor(result.witness) or '0'}, exhaustive gave {value} "
-                    f"with witness {render_divisor(exact.witness) or '0'}",
-                    graph,
-                    divisor,
-                )
-            self._tick("fast-path-agreement")
+            check(
+                "fast-path-agreement",
+                f"{result.method} gave {result.rank} with witness "
+                f"{render_divisor(result.witness) or '0'}, exhaustive gave {value} "
+                f"with witness {render_divisor(exact.witness) or '0'}"
+                if (result.rank, result.witness) != (value, exact.witness) else None,
+            )
 
         if (
             stripped is graph
@@ -320,28 +294,29 @@ class _Sweep:
             and degree <= BRUTE_RANK_MAX_DEGREE
             and _brute_cost(graph, degree) <= 60_000
         ):
-            if brute_rank(divisor) != value:
-                self._fail(trial, "oracle-rank", "brute-force rank disagrees", graph, divisor)
-            self._tick("oracle-rank")
+            check("oracle-rank", "brute-force rank disagrees" if brute_rank(divisor) != value else None)
 
         base = ids[rng.randrange(n)]
         if n <= BRUTE_REDUCED_MAX_VERTICES:
-            if brute_is_reduced(divisor, base) != is_reduced(divisor, base):
-                self._fail(trial, "oracle-reduced", f"reducedness at {base} disagrees", graph, divisor)
-            self._tick("oracle-reduced")
+            check(
+                "oracle-reduced",
+                f"reducedness at {base} disagrees"
+                if brute_is_reduced(divisor, base) != is_reduced(divisor, base) else None,
+            )
 
         reduced, carrier = reduce_divisor(divisor, base)
         again, zero_script = reduce_divisor(reduced, base)
         stable = reduce_divisor(shifted, base)[0]
-        if (
-            again != reduced
+        check(
+            "reduce-canonical",
+            f"reduction at {base} misbehaved"
+            if again != reduced
             or any(zero_script.levels)
             or not is_reduced(reduced, base)
             or divisor + apply_script(carrier) != reduced
             or stable != reduced
-        ):
-            self._fail(trial, "reduce-canonical", f"reduction at {base} misbehaved", graph, divisor)
-        self._tick("reduce-canonical")
+            else None,
+        )
 
     def run(self) -> SweepReport:
         for trial in range(self.config.trials):

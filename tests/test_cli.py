@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -519,3 +523,171 @@ def test_sweep_flags_a_fast_witness_that_differs(monkeypatch):
     report = cf.run_sweep(cf.SweepConfig(trials=40, seed=5))
     assert report.failures
     assert all(": fast-path-agreement: riemann-roch gave " in f for f in report.failures)
+
+
+# -- verdicts, failure reports and the module entry point ----------------------
+
+# six instances of SweepConfig(trials=6, seed=3), rendered as failure lines show them
+_PINNED_SWEEP_INSTANCES = (
+    ("v v0; v v1 1; e v0 v1 3", "v0=3,v1=4"),
+    (
+        "v v0; v v1; v v2; v v3; v v4; v v5; e v0 v1; e v0 v4; e v0 v5; e v1 v2; e v2 v2; "
+        "e v2 v3; e v4 v4",
+        "v0=2,v1=2,v2=3,v3=-2,v4=1,v5=-3",
+    ),
+    ("v v0; v v1; v v2; v v3 1; e v0 v1; e v0 v2; e v0 v3; e v1 v2 2; e v2 v3 2", "v2=-3,v3=-3"),
+    ("v v0; v v1; e v0 v1 3", "v0=1,v1=4"),
+    ("v v0 1", "v0=-1"),
+    ("v v0 2; v v1; v v2; v v3; e v0 v1 2; e v0 v2; e v1 v2 3; e v2 v3 2", "v1=2,v2=-3,v3=-4"),
+)
+_SHIFT = "rank changed under a principal shift"
+_NO_ZERO_BASE = "rank 0 but zero-at-base reduced representative exists: False"
+_PINNED_SWEEP_FAILURES = (
+    (0, "class-invariance", _SHIFT),
+    (0, "high-degree", "degree 7 >= 2g-1 but rank 5 != 4"),
+    (0, "fast-path-agreement",
+     "riemann-roch gave 4 with witness v0=1,v1=1,v1.z1=3, exhaustive gave 5 with witness v0=1,v1=1,v1.z1=3"),
+    (1, "class-invariance", _SHIFT),
+    (1, "bullet-identity", "rank changed under loop subdivision"),
+    (1, "high-degree", "degree 3 >= 2g-1 but rank 2 != 1"),
+    (1, "fast-path-agreement",
+     "riemann-roch gave 1 with witness v2.z1=1,v4.z1=1, exhaustive gave 2 with witness v2.z1=1,v4.z1=1"),
+    (2, "class-invariance", _SHIFT),
+    (2, "monotonicity", "rank dropped after adding chips"),
+    (2, "g0-comparison", "stripped rank -1 vs rank 0"),
+    (2, "high-degree", "rank 0 outside [-1, max(-1, -6)]"),
+    (2, "high-degree", "negative degree -6 but rank 0"),
+    (2, "rank-zero-characterization", _NO_ZERO_BASE),
+    (2, "fast-path-agreement", "reduced-negative gave -1 with witness 0, exhaustive gave 0 with witness 0"),
+    (3, "class-invariance", _SHIFT),
+    (3, "g0-comparison", "stripped rank 3 vs rank 4"),
+    (3, "high-degree", "degree 5 >= 2g-1 but rank 4 != 3"),
+    (3, "fast-path-agreement",
+     "riemann-roch gave 3 with witness v0=2,v1=2, exhaustive gave 4 with witness v0=2,v1=2"),
+    (3, "oracle-rank", "brute-force rank disagrees"),
+    (4, "class-invariance", _SHIFT),
+    (4, "g0-comparison", "stripped rank -1 vs rank 0"),
+    (4, "high-degree", "rank 0 outside [-1, max(-1, -1)]"),
+    (4, "high-degree", "negative degree -1 but rank 0"),
+    (4, "rank-zero-characterization", _NO_ZERO_BASE),
+    (4, "fast-path-agreement", "reduced-negative gave -1 with witness 0, exhaustive gave 0 with witness 0"),
+    (5, "class-invariance", _SHIFT),
+    (5, "monotonicity", "rank dropped after adding chips"),
+    (5, "g0-comparison", "stripped rank -1 vs rank 0"),
+    (5, "high-degree", "rank 0 outside [-1, max(-1, -5)]"),
+    (5, "high-degree", "negative degree -5 but rank 0"),
+    (5, "rank-zero-characterization", _NO_ZERO_BASE),
+    (5, "fast-path-agreement", "reduced-negative gave -1 with witness 0, exhaustive gave 0 with witness 0"),
+)
+_PINNED_SWEEP_CHECKS = {name: 6 for name in cf.sweep.CHECK_NAMES} | {"oracle-rank": 1}
+
+
+def _pinned_sweep_lines():
+    lines = []
+    for trial, name, detail in _PINNED_SWEEP_FAILURES:
+        graph, divisor = _PINNED_SWEEP_INSTANCES[trial]
+        lines.append(f"trial {trial}: {name}: {detail} [graph: {graph}] [divisor: {divisor}]")
+    return lines
+
+
+@pytest.fixture
+def exhaustive_rank_one_too_high(monkeypatch):
+    """The sweep's exhaustive ranks come back one too high; fast ones are true."""
+    original = cf.rank
+
+    def skewed(divisor, **kwargs):
+        result = original(divisor, **kwargs)
+        if not kwargs.get("exhaustive"):
+            return result
+        return cf.RankResult(result.rank + 1, result.witness, result.method)
+
+    monkeypatch.setattr("chipfire.sweep.rank", skewed)
+
+
+def test_sweep_failure_lines_are_pinned(exhaustive_rank_one_too_high):
+    report = cf.run_sweep(cf.SweepConfig(trials=6, seed=3))
+    assert report.trials == 6 and report.resampled == 1
+    assert report.checks == _PINNED_SWEEP_CHECKS
+    assert list(report.checks) == list(cf.sweep.CHECK_NAMES)
+    assert report.failures == _pinned_sweep_lines()
+    assert not report.ok
+
+
+def test_cli_sweep_failure_report_exits_one(exhaustive_rank_one_too_high, capsys):
+    argv = ["sweep", "--trials", "6", "--seed", "3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    expected = ["trials: 6 (seed 3, resampled 1)"]
+    expected += [f"check {name}: {count} run" for name, count in _PINNED_SWEEP_CHECKS.items()]
+    expected += ["failures: 32", *_pinned_sweep_lines(), "result: FAIL"]
+    assert captured.out == "\n".join(expected) + "\n"
+
+    assert main(argv + ["--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {
+        "seed": 3,
+        "trials": 6,
+        "resampled": 1,
+        "checks": _PINNED_SWEEP_CHECKS,
+        "failures": _pinned_sweep_lines(),
+        "ok": False,
+    }
+
+
+def test_cli_rr_check_violation_exits_one(dhar5_file, monkeypatch, capsys):
+    monkeypatch.setattr("chipfire.cli.riemann_roch_residual", lambda divisor, **kwargs: 1)
+    argv = ["rr-check", dhar5_file, "-d", "v1=1,v2=2,v3=4,v4=4"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "riemann-roch residual = 1 (VIOLATION)\n"
+    assert main(argv + ["--json"]) == 1
+    out = capsys.readouterr().out
+    assert out == json.dumps({"residual": 1, "ok": False}, indent=2) + "\n"
+
+
+def test_cli_clifford_violation_exits_one(dhar5_file, monkeypatch, capsys):
+    original = cf.rank
+
+    def rank_equals_degree(divisor, **kwargs):
+        result = original(divisor, **kwargs)
+        return cf.RankResult(divisor.degree, result.witness, result.method)
+
+    monkeypatch.setattr("chipfire.cli.rank", rank_equals_degree)
+    argv = ["clifford", dhar5_file, "-d", "v1=1,v2=2"]  # degree 3 <= 2g-2 = 18
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "clifford: rank 3 <= 1: VIOLATION\n"
+    assert main(argv + ["--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"ok": False, "applicable": True, "rank": 3, "degree": 3, "genus": 10}
+
+
+def test_cli_clifford_not_applicable_exits_zero(dhar5_file, capsys):
+    argv = ["clifford", dhar5_file, "-d", "v0=19"]  # degree 19 > 2g-2 = 18
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "clifford: not applicable (vacuously ok)\n"
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"ok": True, "applicable": False, "rank": 9, "degree": 19, "genus": 10}
+
+
+def _run_module(*args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, "-m", "chipfire", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_module_entry_point(dhar5_file, tmp_path):
+    done = _run_module("genus", dhar5_file)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "genus = 10\n", "")
+
+    done = _run_module()
+    assert done.returncode == 2
+    assert done.stdout == "" and "usage: chipfire" in done.stderr
+
+    done = _run_module("genus", str(tmp_path / "missing.graph"))
+    assert done.returncode == 1
+    assert done.stdout == "" and done.stderr.startswith("error: cannot read graph file ")
