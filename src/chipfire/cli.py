@@ -7,12 +7,14 @@ returns a JSON payload and its human-readable lines, and ``main`` alone
 prints them: the lines, or with ``--json`` the payload as one stable JSON
 object.  Exit codes: 0 success, 1 domain error (bad input data) or a
 payload whose ``ok`` is false (``rr-check``, ``clifford``, ``sweep``), 2
-usage error.
+usage error.  The argument parser is built on the first ``main`` call and
+reused, so ``main`` can be called repeatedly in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -201,7 +203,11 @@ def _cmd_sweep(args, _graph, _divisor) -> tuple[dict, list[str]]:
     return payload, lines
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first ``main`` call and reused.  Each ``func`` default
+    holds its ``_cmd_*`` function, so patching ``cli._cmd_*`` after that call
+    has no effect; the names those functions look up when run still can be."""
     parser = argparse.ArgumentParser(
         prog="chipfire",
         description="Exact divisor theory on finite multigraphs: ranks, reduced divisors, burning.",

@@ -82,9 +82,9 @@ def parse_graph(text: str) -> GraphDocument:
                 raise ParseError(f"expected 'e <id1> <id2> [<mult>]', got {quoted(line)}", lineno)
             a, b = tokens[1], tokens[2]
             for endpoint in (a, b):
-                if not _ID.match(endpoint):
-                    raise ParseError(f"bad vertex id {quoted(endpoint)}", lineno)
-                if endpoint not in vertex_lines:
+                if endpoint not in vertex_lines:  # a declared id already matched _ID
+                    if not _ID.match(endpoint):
+                        raise ParseError(f"bad vertex id {quoted(endpoint)}", lineno)
                     raise ParseError(f"edge endpoint {quoted(endpoint)} is not declared", lineno)
             mult = 1
             if len(tokens) == 4:

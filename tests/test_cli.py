@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -80,6 +81,25 @@ def test_parse_edge_before_vertex_reports_line_and_token():
         cf.parse_graph("e a b\n")
     assert "'a'" in str(info.value)
     assert info.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("v a\nv b\ne a b.c\n", 3, "bad vertex id 'b.c'"),
+        ("v a\nv b\ne a.c b\n", 3, "bad vertex id 'a.c'"),
+        ("v a\ne a x\n", 2, "edge endpoint 'x' is not declared"),
+        ("v a\ne x a\n", 2, "edge endpoint 'x' is not declared"),
+        # endpoint a is reported before b, whichever error b has
+        ("v a\ne x a.c\n", 2, "edge endpoint 'x' is not declared"),
+        ("v a\ne a.c x\n", 2, "bad vertex id 'a.c'"),
+    ],
+)
+def test_parse_edge_endpoint_errors_are_pinned(text, line, message):
+    with pytest.raises(cf.ParseError) as info:
+        cf.parse_graph(text)
+    assert str(info.value) == f"line {line}: {message}"
+    assert info.value.line == line
 
 
 def test_parse_errors_carry_line_numbers():
@@ -691,3 +711,73 @@ def test_module_entry_point(dhar5_file, tmp_path):
     done = _run_module("genus", str(tmp_path / "missing.graph"))
     assert done.returncode == 1
     assert done.stdout == "" and done.stderr.startswith("error: cannot read graph file ")
+
+
+def test_cli_builds_its_parser_once(dhar5_file, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["genus", dhar5_file]) == 0
+    first = len(built)
+    assert main(["reduce", dhar5_file, "-d", "v1=3", "-u", "v0"]) == 0
+    assert main(["sweep", "--trials", "1", "--seed", "1"]) == 0
+    assert len(built) == first
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import chipfire.cli\n"
+        "print(len(built))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+
+def test_cli_repeated_calls_give_the_same_bytes(dhar5_file, monkeypatch, capsys):
+    calls = [
+        ["frobnicate"],
+        ["rank", dhar5_file],  # missing -d
+        ["--help"],
+        ["rank", "--help"],
+        ["genus", dhar5_file],
+        ["rank", dhar5_file, "-d", "v1=1,v2=2", "--json"],
+        ["reduce", dhar5_file, "-d", "v1=5,v2=-1", "-u", "v0", "--json"],
+        ["sweep", "--trials", "2", "--seed", "1"],
+    ]
+
+    def run_all():
+        outputs = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        return outputs
+
+    first = run_all()
+    assert [code for code, _, _ in first] == [2, 2, 0, 0, 0, 0, 0, 0]
+    assert run_all() == first
+
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main(["rank", "--help"]) == 0
+    wide = capsys.readouterr().out
+    monkeypatch.setenv("COLUMNS", "40")
+    assert main(["rank", "--help"]) == 0
+    narrow = capsys.readouterr().out
+    assert narrow != wide
+    assert max(len(line) for line in narrow.splitlines()) <= 40
