@@ -85,6 +85,15 @@ class _VertexMap:
         body = ", ".join(f"{v}={x}" for v, x in zip(self._graph.vertex_ids, self._values))
         return f"{type(self).__name__}({body})"
 
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        g = _same_graph(self, other)
+        return type(self)(g, [a + b for a, b in zip(self._values, other._values)])
+
+    def __neg__(self):
+        return type(self)(self._graph, [-a for a in self._values])
+
 
 class Divisor(_VertexMap):
     """An integer chip configuration on the vertices of a graph."""
@@ -106,20 +115,11 @@ class Divisor(_VertexMap):
             and all(a >= b for a, b in zip(self._values, other._values))
         )
 
-    def __add__(self, other):
-        if not isinstance(other, Divisor):
-            return NotImplemented
-        g = _same_graph(self, other)
-        return Divisor(g, [a + b for a, b in zip(self._values, other._values)])
-
     def __sub__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
         g = _same_graph(self, other)
         return Divisor(g, [a - b for a, b in zip(self._values, other._values)])
-
-    def __neg__(self):
-        return Divisor(self._graph, [-a for a in self._values])
 
     def __mul__(self, scalar):
         scalar = operator.index(scalar)
@@ -142,15 +142,6 @@ class FiringScript(_VertexMap):
         if lo == 0:
             return self
         return FiringScript(self._graph, [v - lo for v in self._values])
-
-    def __add__(self, other):
-        if not isinstance(other, FiringScript):
-            return NotImplemented
-        g = _same_graph(self, other)
-        return FiringScript(g, [a + b for a, b in zip(self._values, other._values)])
-
-    def __neg__(self):
-        return FiringScript(self._graph, [-a for a in self._values])
 
 
 # -- principal divisors ----------------------------------------------------

@@ -82,13 +82,13 @@ class Graph:
                 a, b, mult = spec
             else:
                 raise GraphError(f"bad edge spec {spec!r}; expected (a, b) or (a, b, mult)")
-            for endpoint in (a, b):
-                if endpoint not in index:
-                    raise GraphError(f"edge endpoint {endpoint!r} is not a declared vertex")
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                missing = a if i is None else b
+                raise GraphError(f"edge endpoint {missing!r} is not a declared vertex")
             mult = operator.index(mult)
             if mult < 1:
                 raise GraphError(f"edge {a!r}-{b!r} has multiplicity {mult}; must be >= 1")
-            i, j = index[a], index[b]
             if i == j:
                 loops[i] += mult
             else:

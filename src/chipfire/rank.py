@@ -348,7 +348,8 @@ def rank_geq(
     """Decide rank >= k on a weightless loopless connected graph.
 
     On failure, also return the lexicographically smallest effective
-    degree-k divisor whose subtraction leaves no effective representative.
+    degree-k divisor whose subtraction leaves no effective representative,
+    certified as ``rank``'s witness is, by a full reduction from the input.
     """
     graph = divisor.graph
     _require_weightless_loopless(graph, "rank_geq")
@@ -360,7 +361,7 @@ def rank_geq(
     failing, _ = _scan_level(graph, base_reduced, base, k, budget, {})
     if failing is None:
         return True, None
-    return False, Divisor(graph, failing)
+    return False, _certify(graph, divisor.values, base, failing)
 
 
 def _explicit_indices(divisor: Divisor, capacity: tuple[int, ...]) -> Iterator[int]:
@@ -522,10 +523,11 @@ def g0_comparison(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> tuple[in
     graph.require_connected("g0_comparison")
     stripped = strip_weights_and_loops(graph)
     on_stripped = divisor if stripped is graph else Divisor(stripped, divisor.values)
-    return (
-        rank(on_stripped, budget=budget).rank,
-        rank(divisor, budget=budget).rank,
-    )
+    # ranked first, so that a BudgetError is the stripped graph's
+    stripped_value = rank(on_stripped, budget=budget).rank
+    if stripped is graph:
+        return stripped_value, stripped_value
+    return stripped_value, rank(divisor, budget=budget).rank
 
 
 def bullet_rank_identity(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> bool:

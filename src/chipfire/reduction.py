@@ -358,9 +358,8 @@ def is_saturation(original: Graph, candidate: Graph, divisor: Divisor, base: str
         if candidate.multiplicity(a, b) < mult:
             return False
     for (a, b), mult in candidate.edge_items():
+        # never negative: the loop above checked every original edge
         extra = mult - original.multiplicity(a, b)
-        if extra < 0:
-            return False
         if extra > 0 and base not in (a, b):
             return False
     return is_reduced(Divisor(candidate, divisor.as_dict()), base)

@@ -24,7 +24,6 @@ of the report.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -45,7 +44,7 @@ from .oracle import (
     brute_is_reduced,
     brute_rank,
 )
-from .rank import METHOD_EXHAUSTIVE, rank
+from .rank import METHOD_EXHAUSTIVE, _level_count, rank
 from .reduction import is_reduced, reduce_divisor
 from .textio import render_divisor, render_graph
 
@@ -142,7 +141,7 @@ def _search_cost(hat_vertices: int, degree: int, genus: int) -> int:
     if hat_vertices == 1:
         return degree + 2
     top_level = rank_for_degree(degree, genus) + 1
-    return math.comb(top_level + hat_vertices - 1, hat_vertices - 1)
+    return _level_count(top_level, hat_vertices)
 
 
 def _instance_cost(graph: Graph, divisor: Divisor) -> int:
@@ -160,11 +159,9 @@ def _instance_cost(graph: Graph, divisor: Divisor) -> int:
 
 
 def _brute_cost(graph: Graph, degree: int) -> int:
-    n = graph.vertex_count
     if degree < 0:
         return 1
-    per_level = math.comb(degree + n - 1, n - 1)
-    return per_level * (degree + 2)
+    return _level_count(degree, graph.vertex_count) * (degree + 2)
 
 
 class _Sweep:
@@ -243,8 +240,10 @@ class _Sweep:
         check("monotonicity", "rank dropped after adding chips" if rank(bumped).rank < value else None)
 
         stripped = strip_weights_and_loops(graph)
-        on_stripped = divisor if stripped is graph else Divisor(stripped, divisor.values)
-        stripped_value = rank(on_stripped).rank
+        # a weightless loopless graph is its own stripped graph, ranked above
+        stripped_value = (
+            result.rank if stripped is graph else rank(Divisor(stripped, divisor.values)).rank
+        )
         check(
             "g0-comparison",
             f"stripped rank {stripped_value} vs rank {value}"

@@ -10,7 +10,9 @@ ignored::
 Ids match ``[A-Za-z0-9_-]+`` (no dots, which are reserved for derived
 vertices).  Divisor literals are comma-separated ``id=int`` entries with
 omitted vertices equal to zero.  ``parse_graph(render_graph(g))`` is the
-identity.
+identity when every id of ``g`` matches the grammar.  A derived graph (hat,
+loop-subdivided) has dotted ids such as ``v1.z1``, so its rendering, which
+is what ``chipfire hat`` and ``chipfire bullet`` print, does not parse back.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def parse_graph(text: str) -> GraphDocument:
 
 def render_graph(graph: Graph) -> str:
     """Serialize a graph to the line format; parsing it back reproduces the
-    graph exactly."""
+    graph exactly when its ids match the grammar (no derived, dotted ids)."""
     lines = []
     for vid, weight in graph.vertex_items:
         lines.append(f"v {vid} {weight}" if weight else f"v {vid}")

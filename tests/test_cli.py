@@ -76,6 +76,15 @@ def test_parse_render_roundtrip_random(g):
     assert cf.parse_graph(cf.render_graph(g)).graph == g
 
 
+def test_roundtrip_holds_on_grammar_ids_and_fails_on_derived_ids():
+    g = cf.Graph([("a", 1), "b_2", "C-3"], [("a", "b_2", 2), ("b_2", "C-3"), ("a", "a")])
+    assert cf.parse_graph(cf.render_graph(g)).graph == g
+    hat = cf.hat_graph(cf.load_fixture("weighted-binary").graph).target
+    with pytest.raises(cf.ParseError) as info:
+        cf.parse_graph(cf.render_graph(hat))
+    assert str(info.value) == "line 3: bad vertex id 'v1.z1'"
+
+
 def test_parse_edge_before_vertex_reports_line_and_token():
     with pytest.raises(cf.ParseError) as info:
         cf.parse_graph("e a b\n")
@@ -100,6 +109,19 @@ def test_parse_edge_endpoint_errors_are_pinned(text, line, message):
         cf.parse_graph(text)
     assert str(info.value) == f"line {line}: {message}"
     assert info.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("v a\ne a\n", "line 2: expected 'e <id1> <id2> [<mult>]', got 'e a'"),
+        ("v a\nv b\ne a b 1 2\n", "line 3: expected 'e <id1> <id2> [<mult>]', got 'e a b 1 2'"),
+    ],
+)
+def test_parse_edge_token_count_is_checked(text, message):
+    with pytest.raises(cf.ParseError) as info:
+        cf.parse_graph(text)
+    assert str(info.value) == message
 
 
 def test_parse_errors_carry_line_numbers():

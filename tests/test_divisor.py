@@ -421,3 +421,76 @@ def test_equivalence_is_symmetric_and_transitive(g, data):
     assert cf.equivalent(d1, d2)
     assert cf.equivalent(base, d2)
     assert base.degree == d1.degree == d2.degree
+
+
+# -- input checks and operators ----------------------------------------------
+
+
+@pytest.mark.parametrize("kind", [cf.Divisor, cf.FiringScript])
+def test_vertex_map_add_and_neg_keep_type_and_graph(dhar5, kind):
+    g = dhar5.graph
+    a = kind(g, (1, 0, 2, 0, -1))
+    b = kind(g, (0, 1, 1, 0, 3))
+    for result, values in ((a + b, (1, 1, 3, 0, 2)), (-a, (-1, 0, -2, 0, 1))):
+        assert type(result) is kind
+        assert result.graph is g
+        assert result.values == values
+
+
+@pytest.mark.parametrize(
+    "make_left, make_right, error, message",
+    [
+        (
+            lambda g: cf.Divisor(g, (0,) * 5),
+            lambda g: cf.FiringScript(g, (0,) * 5),
+            TypeError,
+            "unsupported operand type(s) for +: 'Divisor' and 'FiringScript'",
+        ),
+        (
+            lambda g: cf.FiringScript(g, (0,) * 5),
+            lambda g: cf.Divisor(g, (0,) * 5),
+            TypeError,
+            "unsupported operand type(s) for +: 'FiringScript' and 'Divisor'",
+        ),
+        (
+            lambda g: cf.Divisor(g, (0,) * 5),
+            lambda g: 1,
+            TypeError,
+            "unsupported operand type(s) for +: 'Divisor' and 'int'",
+        ),
+        (
+            lambda g: cf.FiringScript(g, (0,) * 5),
+            lambda g: cf.FiringScript(binary_graph(1), (0, 0)),
+            cf.DomainError,
+            "operands are bound to different graphs",
+        ),
+    ],
+)
+def test_vertex_map_add_refuses_other_operands(dhar5, make_left, make_right, error, message):
+    left, right = make_left(dhar5.graph), make_right(dhar5.graph)
+    with pytest.raises(error) as info:
+        left + right
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda g: cf.Divisor(g, (1, 2, 3, 4)), "expected 5 values, got 4"),
+        (lambda g: cf.FiringScript(g, [0] * 6), "expected 5 values, got 6"),
+        (lambda g: cf.Divisor("dhar5", (0,) * 5), "expected a Graph, got str"),
+        (lambda g: cf.FiringScript(None), "expected a Graph, got NoneType"),
+    ],
+)
+def test_vertex_map_input_checks(dhar5, make, message):
+    with pytest.raises(cf.DomainError) as info:
+        make(dhar5.graph)
+    assert str(info.value) == message
+
+
+def test_vertex_map_hash_and_repr(dhar5):
+    g = dhar5.graph
+    d = cf.Divisor(g, (0, 1, 0, -2, 0))
+    assert len({d, cf.Divisor(g, {"v1": 1, "v3": -2})}) == 1
+    assert repr(d) == "Divisor(v0=0, v1=1, v2=0, v3=-2, v4=0)"
+    assert repr(cf.FiringScript(binary_graph(1), (2, 0))) == "FiringScript(v1=2, v2=0)"

@@ -433,3 +433,32 @@ def test_hat_target_is_plain_with_degree_two_midpoints(g):
         for z in zs:
             assert target.valency(z) == 2
             assert target.multiplicity(v, z) == 2
+
+
+# -- input checks ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([("a", 1, 2)], [], "bad vertex spec ('a', 1, 2); expected id or (id, weight)"),
+        ([7], [], "bad vertex spec 7; expected id or (id, weight)"),
+        ([""], [], "vertex id must be a non-empty string, got ''"),
+        ([(3, 0)], [], "vertex id must be a non-empty string, got 3"),
+        (["a"], [("a",)], "bad edge spec ('a',); expected (a, b) or (a, b, mult)"),
+        (["a", "b"], [("a", "b", 1, 1)], "bad edge spec ('a', 'b', 1, 1); expected (a, b) or (a, b, mult)"),
+        # an undeclared endpoint in either position; a is reported before b
+        (["a", "b"], [("a", "x")], "edge endpoint 'x' is not a declared vertex"),
+        (["a", "b"], [("x", "b")], "edge endpoint 'x' is not a declared vertex"),
+        (["a", "b"], [("x", "y")], "edge endpoint 'x' is not a declared vertex"),
+        (["a", "b"], [("x", "y", 0)], "edge endpoint 'x' is not a declared vertex"),
+    ],
+)
+def test_graph_input_checks(vertices, edges, message):
+    with pytest.raises(cf.GraphError) as info:
+        cf.Graph(vertices, edges)
+    assert str(info.value) == message
+
+
+def test_graph_repr(dhar5):
+    assert repr(dhar5.graph) == "Graph(5 vertices, 14 edges, genus 10)"

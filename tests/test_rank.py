@@ -30,6 +30,16 @@ def test_rank_geq_dhar5(dhar5):
     assert reduced["v0"] < 0
 
 
+def test_rank_geq_certifies_its_witness(dhar5, monkeypatch):
+    d = dhar5.divisors["example"]
+    # a degree-3 tuple whose subtraction leaves d effective: it does not fail
+    passing = (0, 0, 0, 0, 3)
+    assert (d - cf.Divisor(dhar5.graph, passing)).is_effective
+    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_scan_level", lambda *args: (passing, None))
+    with pytest.raises(cf.InternalError, match="^witness failed its certification re-run$"):
+        cf.rank_geq(d, 3)
+
+
 def test_rank_geq_rejects_weighted_or_looped(weighted_binary):
     with pytest.raises(cf.DomainError):
         cf.rank_geq(weighted_binary.divisors["example"], 1)
@@ -601,6 +611,29 @@ def test_clifford_examples(dhar5):
     assert cf.clifford_check(cf.Divisor(g3, (1, 2)))
     # degree beyond 2g-2 is vacuous
     assert cf.clifford_check(cf.Divisor(g3, (9, 9)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: cf.saturation_bound(cf.Divisor(binary_graph(2), (-1, 3)), "v1"),
+            "saturation_bound needs an effective divisor",
+        ),
+        (lambda: cf.binary_rank(-1, 0, 0), "binary_rank needs genus >= 0"),
+    ],
+)
+def test_rank_input_checks(call, message):
+    with pytest.raises(cf.DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_clifford_holds_vacuously_at_rank_minus_one():
+    # degree 0 lies in [0, 2g - 2] on genus 2, but the class has no effective member
+    d = cf.Divisor(binary_graph(2), (-1, 1))
+    assert cf.rank(d).rank == -1
+    assert cf.clifford_check(d)
 
 
 # -- binary closed form -------------------------------------------------------

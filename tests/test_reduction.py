@@ -359,6 +359,18 @@ def test_is_saturation_rejects_bad_candidates(dhar5):
     assert not cf.is_saturation(g, binary_graph(1), d, "v0")
 
 
+def test_is_saturation_needs_every_original_edge():
+    # one of the three parallel edges is missing from the candidate
+    original = binary_graph(2)
+    assert not cf.is_saturation(original, binary_graph(1), cf.Divisor(original, (0, 0)), "v1")
+
+
+def test_is_saturation_refuses_a_divisor_on_another_graph(dhar5):
+    with pytest.raises(cf.DomainError) as info:
+        cf.is_saturation(dhar5.graph, dhar5.graph, cf.Divisor(binary_graph(1), (0, 0)), "v0")
+    assert str(info.value) == "divisor is not bound to the original graph"
+
+
 def test_saturate_rejects_negative_off_base(dhar5):
     d = cf.Divisor(dhar5.graph, {"v1": -1})
     with pytest.raises(cf.DomainError):
