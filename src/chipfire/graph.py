@@ -18,6 +18,8 @@ from .errors import DisconnectedError, DomainError, GraphError
 VertexSpec = Union[str, Sequence]
 EdgeSpec = Sequence
 
+_second = operator.itemgetter(1)
+
 
 class Graph:
     """A finite multigraph with non-negative integer vertex weights and loops.
@@ -95,12 +97,16 @@ class Graph:
                 adj[i][j] = adj[i].get(j, 0) + mult
                 adj[j][i] = adj[j].get(i, 0) + mult
 
-        self._ids = tuple(ids)
-        self._index = index
+        self._set_tables(ids, weights, loops, [tuple(sorted(row.items())) for row in adj], index)
+
+    def _set_tables(self, ids, weights, loops, adj_items, index=None) -> None:
+        """Store valid tables and derive the rest: every graph ends here."""
+        self._ids = ids = tuple(ids)
+        self._index = dict(zip(ids, range(len(ids)))) if index is None else index
         self._weights = tuple(weights)
         self._loops = tuple(loops)
-        self._adj_items = tuple(tuple(sorted(row.items())) for row in adj)
-        self._degrees = tuple(sum(row.values()) for row in adj)  # loops excluded
+        self._adj_items = adj_items = tuple(adj_items)
+        self._degrees = tuple([sum(map(_second, row)) for row in adj_items])  # loops excluded
         self._connected: bool | None = None
         self._hash: int | None = None
         # non-loop edges - n + 1: on a connected graph, the most chips a
@@ -175,31 +181,31 @@ class Graph:
 
     # -- connectivity ---------------------------------------------------
 
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        n = len(self._ids)
-        seen = [False] * n
+    def _index_components(self) -> list[list[int]]:
+        """The vertex indices of each component, in the order found."""
+        seen = [False] * len(self._ids)
         comps = []
-        for start in range(n):
+        for start in range(len(seen)):
             if seen[start]:
                 continue
-            stack = [start]
             seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
+            comp = [start]
+            for v in comp:
                 for w, _ in self._adj_items[v]:
                     if not seen[w]:
                         seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(self._ids[v] for v in sorted(comp)))
-        return tuple(comps)
+                        comp.append(w)
+            comps.append(comp)
+        return comps
+
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(self._ids[v] for v in sorted(comp)) for comp in self._index_components())
 
     @property
     def is_connected(self) -> bool:
         """Exactly one component: the empty graph is not connected."""
         if self._connected is None:
-            self._connected = len(self.components()) == 1
+            self._connected = len(self._index_components()) == 1
         return self._connected
 
     def require_connected(self, operation: str) -> None:
@@ -308,40 +314,34 @@ class HatEmbedding:
         return self.target is self.source
 
 
-def _fresh_ids(graph: Graph, vertex: str, count: int) -> tuple[str, ...]:
-    """``<vertex>.z<k>`` names, k from 1, skipping any id already present.
-
-    The dot is reserved by the text grammar, so user input never collides;
-    skipping keeps derived-of-derived graphs collision-free too.
-    """
-    out: list[str] = []
-    k = 1
-    while len(out) < count:
-        name = f"{vertex}.z{k}"
-        if not graph.has_vertex(name):
-            out.append(name)
-        k += 1
-    return tuple(out)
-
-
 def _hang_fresh(
     graph: Graph, weights: Sequence[int], counts: Sequence[int]
 ) -> tuple[Graph, dict[str, tuple[str, ...]]]:
     """The graph without its loops, with the given vertex weights, and
     ``counts[i]`` fresh weight-zero vertices hung on vertex i by double
-    edges; returns it and the map from each vertex to its fresh ones."""
-    vertices: list[tuple[str, int]] = list(zip(graph.vertex_ids, weights))
-    edges: list[tuple[str, str, int]] = [
-        (a, b, mult) for (a, b), mult in graph.edge_items() if a != b
-    ]
-    added: dict[str, tuple[str, ...]] = {}
-    for v, count in zip(graph.vertex_ids, counts):
-        fresh = _fresh_ids(graph, v, count)
-        added[v] = fresh
-        for z in fresh:
-            vertices.append((z, 0))
-            edges.append((v, z, 2))
-    return Graph(vertices, edges), added
+    edges, built from the graph's already valid tables; returns it and the
+    map from each vertex to its fresh ones.
+
+    Fresh ids are ``<vertex>.z<k>``, k from 1, skipping taken ids: the text
+    grammar reserves the dot, so user ids never collide, and derived graphs
+    of derived graphs stay collision-free.  Fresh vertices come after every
+    original one, so appending them keeps each row sorted."""
+    ids, rows = list(graph._ids), list(graph._adj_items)
+    added: dict[str, tuple[str, ...]] = dict.fromkeys(graph._ids, ())
+    for i, (v, count) in enumerate(zip(graph._ids, counts)):
+        if count:
+            fresh, k = [], 0
+            while len(fresh) < count:
+                k += 1
+                if f"{v}.z{k}" not in graph._index:
+                    fresh.append(f"{v}.z{k}")
+            added[v] = tuple(fresh)
+            rows[i] += tuple((z, 2) for z in range(len(ids), len(ids) + count))
+            rows.extend([((i, 2),)] * count)
+            ids.extend(fresh)
+    derived = Graph.__new__(Graph)
+    derived._set_tables(ids, [*weights] + [0] * (len(ids) - len(weights)), [0] * len(ids), rows)
+    return derived, added
 
 
 def hat_graph(graph: Graph) -> HatEmbedding:
@@ -349,9 +349,9 @@ def hat_graph(graph: Graph) -> HatEmbedding:
 
     Weightless loopless graphs come back unchanged (same object).
     """
-    genera = [graph.local_genus(v) for v in graph.vertex_ids]
+    genera = [w + loops for w, loops in zip(graph._weights, graph._loops)]
     if not any(genera):
-        return HatEmbedding(graph, graph, {v: () for v in graph.vertex_ids})
+        return HatEmbedding(graph, graph, dict.fromkeys(graph._ids, ()))
     return HatEmbedding(graph, *_hang_fresh(graph, [0] * graph.vertex_count, genera))
 
 

@@ -61,8 +61,8 @@ from .divisor import (
     Divisor,
     degree_for_rank,
     iter_effective_values,
-    lift_divisor,
     rank_capacity,
+    rank_for_degree,
     rank_lower_bound,
 )
 from .errors import BudgetError, DomainError, InternalError
@@ -323,9 +323,8 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     """
     graph = divisor.graph
     graph.require_connected("rank")
-    embedding = hat_graph(graph)
-    hat = embedding.target
-    lifted = lift_divisor(embedding, divisor).values
+    hat = hat_graph(graph).target
+    lifted = divisor.values + (0,) * (hat.vertex_count - graph.vertex_count)  # zero on fresh ones
 
     start = None
     if exhaustive:
@@ -333,7 +332,8 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     # an effective divisor's class is never reduced-negative, so this test
     # may precede that one
     elif divisor.is_effective:
-        capacity = rank_capacity(divisor).values
+        genera = [weight + loops for weight, loops in zip(graph.weights, graph._loops)]
+        capacity = tuple(map(rank_for_degree, divisor.values, genera))
         explicit = next(_explicit_indices(divisor, capacity), None)
         if explicit is not None:
             start = METHOD_RANK_EXPLICIT, capacity[explicit] + 1

@@ -329,6 +329,67 @@ def test_subdivide_keeps_weights():
     assert added["v"] == ("v.z1", "v.z2")
 
 
+def _rebuilt(g):
+    """The same graph again, through the validating constructor."""
+    return cf.Graph(g.vertex_items, [(a, b, m) for (a, b), m in g.edge_items()])
+
+
+def _add_weights_and_loops(rng, g):
+    vertices = [(v, w + rng.choice((0, 0, 1, 2))) for v, w in g.vertex_items]
+    loops = [(v, v, rng.randint(1, 2)) for v in g.vertex_ids if rng.random() < 0.3]
+    return cf.Graph(vertices, [(a, b, m) for (a, b), m in g.edge_items()] + loops)
+
+
+def test_derived_graphs_from_tables_equal_the_validated_rebuild():
+    rng = random.Random(18)
+    skipped_taken_name = False
+    for trial in range(1000):
+        g = cf.random_connected_graph(rng, 6, 10, 2)
+        if trial % 2:
+            # derived-of-derived: fresh names must skip the ones already taken
+            inner = cf.hat_graph(g).target if rng.random() < 0.5 else cf.subdivide_loops(g)[0]
+            g = _add_weights_and_loops(rng, inner)
+        hat = cf.hat_graph(g)
+        subdivided, sub_added = cf.subdivide_loops(g)
+        stripped = cf.strip_weights_and_loops(g)
+        expected = (
+            (hat.target, hat.added, [g.local_genus(v) for v in g.vertex_ids]),
+            (subdivided, sub_added, [g.loop_count(v) for v in g.vertex_ids]),
+            (stripped, {v: () for v in g.vertex_ids}, [0] * g.vertex_count),
+        )
+        for derived, added, counts in expected:
+            rebuilt = _rebuilt(derived)
+            assert derived == rebuilt and hash(derived) == hash(rebuilt)
+            for table in ("_adj_items", "_degrees", "_loopless_genus", "_index"):
+                assert getattr(derived, table) == getattr(rebuilt, table), table
+            assert derived.vertex_ids == g.vertex_ids + sum(added.values(), ())
+            assert list(added) == list(g.vertex_ids)
+            for v, count in zip(g.vertex_ids, counts):
+                fresh = added[v]
+                assert len(fresh) == count
+                for z in fresh:
+                    assert z.startswith(f"{v}.z") and not g.has_vertex(z)
+                    assert derived._adj_items[derived.index(z)] == ((derived.index(v), 2),)
+                if fresh and g.has_vertex(f"{v}.z1"):
+                    skipped_taken_name = True
+    assert skipped_taken_name
+
+
+def test_is_connected_agrees_with_components():
+    assert not cf.Graph([]).is_connected
+    assert cf.Graph([("a", 3)], [("a", "a")]).is_connected
+    outcomes = set()
+    for g in _seeded_multigraphs(18, 400):
+        # is_connected is asked first, so its own search runs, not a cached answer
+        outcomes.add(g.is_connected)
+        assert g.is_connected == (len(g.components()) == 1)
+    assert outcomes == {True, False}
+    rng = random.Random(18)
+    for _ in range(200):
+        g = cf.random_connected_graph(rng, 9, 14, 2)
+        assert g.is_connected and len(g.components()) == 1
+
+
 # -- invariants --------------------------------------------------------------
 
 

@@ -79,15 +79,35 @@ def test_rank_fast_path_level_must_fail(monkeypatch):
     # that passes; the search must refuse rather than go on looking
     d = cf.Divisor(cf.Graph([("a", 2)]), (3,))
     assert cf.rank(d).rank == 1
-    # zero capacities make rank-explicit claim rank 0
+    # zero capacities make rank-explicit claim rank 0; rank() computes each
+    # vertex's capacity through the module's rank_for_degree binding
     monkeypatch.setattr(
-        importlib.import_module("chipfire.rank"),
-        "rank_capacity",
-        lambda divisor: cf.Divisor(divisor.graph, [0] * divisor.graph.vertex_count),
+        importlib.import_module("chipfire.rank"), "rank_for_degree", lambda degree, genus: 0
     )
     with pytest.raises(cf.InternalError, match="one degree above the computed rank"):
         cf.rank(d)
     assert cf.rank(d, exhaustive=True).rank == 1
+
+
+def test_rank_runs_no_graph_constructor_on_weighted_looped_input(monkeypatch):
+    # the hat graph is derived from the source's tables; a rebuild through
+    # the validating constructor would be counted here
+    g = cf.Graph([("a", 2), "b", ("c", 1)], [("a", "b"), ("b", "c", 2), ("a", "a"), ("c", "c", 2)])
+    divisors = [cf.Divisor(g, v) for v in ((0, 1, 0), (3, 1, 0), (2, 2, 2), (-3, 0, 1), (9, 9, 9))]
+    calls = []
+    constructor = cf.Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        constructor(self, *args, **kwargs)
+
+    monkeypatch.setattr(cf.Graph, "__init__", counting)
+    methods = {cf.rank(d).method for d in divisors}
+    methods |= {cf.rank(d, exhaustive=True).method for d in divisors}
+    assert methods == {"exhaustive", "rank-explicit", "reduced-negative", "riemann-roch"}
+    assert calls == []
+    cf.Graph(["x"])
+    assert len(calls) == 1
 
 
 def test_rank_three_component():
