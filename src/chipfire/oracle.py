@@ -10,6 +10,7 @@ truncation.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -66,6 +67,24 @@ def _class_signature(graph: Graph, values: list[int]):
     return tuple(x % det for x in nums)
 
 
+def _class_signatures(graph: Graph):
+    """``_class_signature`` on one graph with one solve per vertex but the
+    last: ``nums`` is ``det`` times the solution, so it is linear in the
+    right-hand side and the signature of any values is the same integer
+    combination of the unit vectors' solutions, taken modulo ``det``."""
+    m = graph.vertex_count - 1
+    det, columns = 1, []
+    for i in range(m):
+        nums, det = _solve_reduced(graph, [int(i == j) for j in range(m)])
+        columns.append(nums)
+    rows = list(zip(*columns))  # rows[k][i]: entry k of unit vector i's solution
+
+    def signature(values: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sum(map(operator.mul, row, values)) % det for row in rows)
+
+    return signature
+
+
 def brute_rank(divisor: Divisor) -> int:
     """Rank straight from the definition, with no reduced divisors anywhere.
 
@@ -90,17 +109,15 @@ def brute_rank(divisor: Divisor) -> int:
             f"brute_rank is limited to degree {BRUTE_RANK_MAX_DEGREE}, got {degree}"
         )
     dvals = divisor.values
+    signature = _class_signatures(graph)
     k = 0
     while True:
         remaining = degree - k
         if remaining < 0:
             return k - 1
-        effective_signatures = {
-            _class_signature(graph, list(f)) for f in iter_effective_values(remaining, n)
-        }
+        effective_signatures = set(map(signature, iter_effective_values(remaining, n)))
         for e in iter_effective_values(k, n):
-            candidate = [a - b for a, b in zip(dvals, e)]
-            if _class_signature(graph, candidate) not in effective_signatures:
+            if signature([a - b for a, b in zip(dvals, e)]) not in effective_signatures:
                 return k - 1
         k += 1
 

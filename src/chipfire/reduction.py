@@ -99,15 +99,18 @@ def _fire_indices(graph: Graph, values: list[int], room: list[int], members: lis
     """Fire the unburned set of a burn in place as many times as every
     member can afford, and return that number t.
 
-    ``room`` is ``_burn``'s result for these ``values`` and ``members`` the
-    vertices it left unburned, so a neighbour w is outside the set exactly
-    when ``room[w] < 0`` and member v has ``out(v) = values[v] - room[v]``
-    edges leaving it.  Each firing costs v ``out(v)`` chips, so
-    ``t = min(values[v] // out(v))`` over the members with ``out(v) > 0``
-    leaves every member non-negative.  Needs an edge leaving the set.
+    ``room`` is ``_burn``'s result for these ``values``, so a neighbour w
+    is burned exactly when ``room[w] < 0`` and an unburned v has
+    ``out(v) = values[v] - room[v]`` edges into the burned region.
+    ``members`` is the cut: the unburned vertices with ``out(v) > 0``, the
+    only ones whose chips a firing of the whole unburned set moves, as an
+    interior vertex sends and receives the same chips along its edges.
+    Each firing costs a member ``out(v)`` chips, so ``t = min(values[v] //
+    out(v))`` leaves every member non-negative.  Only the members'
+    adjacency is read; the cut must not be empty.
     """
     adj_items = graph._adj_items
-    times = min(values[v] // (values[v] - room[v]) for v in members if values[v] > room[v])
+    times = min(values[v] // (values[v] - room[v]) for v in members)
     for v in members:
         values[v] -= (values[v] - room[v]) * times
         for w, mult in adj_items[v]:
@@ -179,8 +182,12 @@ def _reduce_indices(
     ``room`` as ``d(v) - room(v)``.  Surviving the burn means
     ``d(v) >= out(v)``, so ``t >= 1``, and after t firings every member
     still holds ``d(v) - t * out(v) >= 0``: effectivity off the base is
-    preserved.  The poorest member sets t, so several piles, or one on a
-    grid, would need rounds in proportion to their chips.
+    preserved.  Only the cut, the members with ``out(v) > 0``, gains or
+    loses chips, and only it bounds t, so ``_fire_indices`` fires the cut
+    alone and a round costs the cut's edges besides the burn, not the
+    whole of U's; every member's level still rises by t.  The poorest
+    member sets t, so several piles, or one on a grid, would need rounds
+    in proportion to their chips.
 
     Halving keeps the chips of a firing pass bounded by the graph.  A
     base-reduced divisor holds at most g' chips off the base, with
@@ -236,7 +243,7 @@ def _reduce_indices(
                 guard = (n - 1) ** 2 * (sum(values) - values[base])
             unburned = [v for v, r in enumerate(room) if r >= 0]
             rounds += 1
-            times = _fire_indices(graph, values, room, unburned)
+            times = _fire_indices(graph, values, room, [v for v in unburned if values[v] > room[v]])
             if times < 1 or rounds > guard:
                 raise InternalError("reduction did not terminate within its step guard")
             for v in unburned:

@@ -50,9 +50,14 @@ class GraphDocument:
 
 
 def parse_graph(text: str) -> GraphDocument:
-    vertices: list[tuple[str, int]] = []
+    """Parse the line format into a graph, validating each line once: the
+    graph's tables are built here, not by a second pass in ``Graph``."""
+    ids: list[str] = []
+    weights: list[int] = []
+    index: dict[str, int] = {}
     vertex_lines: dict[str, int] = {}
-    edges: list[tuple[str, str, int]] = []
+    loops: list[int] = []
+    adj: list[dict[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -78,16 +83,21 @@ def parse_graph(text: str) -> GraphDocument:
                         f"negative weight {quoted(tokens[2])} for vertex {quoted(vid)}", lineno
                     )
             vertex_lines[vid] = lineno
-            vertices.append((vid, weight))
+            index[vid] = len(ids)
+            ids.append(vid)
+            weights.append(weight)
+            loops.append(0)
+            adj.append({})
         elif kind == "e":
             if len(tokens) not in (3, 4):
                 raise ParseError(f"expected 'e <id1> <id2> [<mult>]', got {quoted(line)}", lineno)
             a, b = tokens[1], tokens[2]
-            for endpoint in (a, b):
-                if endpoint not in vertex_lines:  # a declared id already matched _ID
-                    if not _ID.match(endpoint):
-                        raise ParseError(f"bad vertex id {quoted(endpoint)}", lineno)
-                    raise ParseError(f"edge endpoint {quoted(endpoint)} is not declared", lineno)
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                endpoint = a if i is None else b  # a is reported before b
+                if not _ID.match(endpoint):  # a declared id already matched _ID
+                    raise ParseError(f"bad vertex id {quoted(endpoint)}", lineno)
+                raise ParseError(f"edge endpoint {quoted(endpoint)} is not declared", lineno)
             mult = 1
             if len(tokens) == 4:
                 mult = _int(tokens[3], "multiplicity", f"edge {quoted(a)}-{quoted(b)}", lineno)
@@ -96,10 +106,16 @@ def parse_graph(text: str) -> GraphDocument:
                         f"multiplicity {quoted(tokens[3])} for edge {quoted(a)}-{quoted(b)}; must be >= 1",
                         lineno,
                     )
-            edges.append((a, b, mult))
+            if i == j:
+                loops[i] += mult
+            else:
+                adj[i][j] = adj[i].get(j, 0) + mult
+                adj[j][i] = adj[j].get(i, 0) + mult
         else:
             raise ParseError(f"unknown directive {quoted(kind)}", lineno)
-    return GraphDocument(graph=Graph(vertices, edges), vertex_lines=vertex_lines)
+    graph = Graph.__new__(Graph)
+    graph._set_tables(ids, weights, loops, [tuple(sorted(row.items())) for row in adj], index)
+    return GraphDocument(graph=graph, vertex_lines=vertex_lines)
 
 
 def render_graph(graph: Graph) -> str:

@@ -20,6 +20,25 @@ def binary_graph(genus):
     return cf.Graph(["v1", "v2"], [("v1", "v2", genus + 1)])
 
 
+def cycle_graph(n):
+    ids = [f"v{i}" for i in range(n)]
+    return cf.Graph(ids, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
+
+
+def grid_graph(side):
+    """The side x side grid, row by row: v(r * side + c)."""
+    ids = [f"v{i}" for i in range(side * side)]
+    return cf.Graph(ids, [(ids[v], ids[v + 1]) for v in range(len(ids)) if (v + 1) % side] + [
+        (ids[v], ids[v + side]) for v in range(len(ids) - side)
+    ])
+
+
+def tadpole_graph(n):
+    """The path v0 - ... - v(n-1) whose last three vertices close a triangle."""
+    ids = [f"v{i}" for i in range(n)]
+    return cf.Graph(ids, [(ids[i], ids[i + 1]) for i in range(n - 1)] + [(ids[n - 3], ids[n - 1])])
+
+
 @st.composite
 def connected_graphs(draw, max_vertices=5, max_extra=4, max_weight=2, loops=True):
     n = draw(st.integers(1, max_vertices))

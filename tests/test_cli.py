@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 
 import chipfire as cf
 from chipfire.cli import main
-from conftest import connected_graphs
+from conftest import connected_graphs, cycle_graph, grid_graph, tadpole_graph
 
 DHAR5_TEXT = """\
 # the five-vertex burning example
@@ -83,6 +85,31 @@ def test_roundtrip_holds_on_grammar_ids_and_fails_on_derived_ids():
     with pytest.raises(cf.ParseError) as info:
         cf.parse_graph(cf.render_graph(hat))
     assert str(info.value) == "line 3: bad vertex id 'v1.z1'"
+
+
+def test_parsed_tables_match_the_validating_constructor():
+    # the parser builds a graph's tables itself; on texts with weights,
+    # loops, repeated edges and multiplicities they are Graph's own
+    rng = random.Random(19)
+    for _ in range(300):
+        ids = rng.sample(["a", "b_2", "x-y", "v10", "v9", "Q", "z0", "m"], rng.randint(1, 8))
+        vertices = [(vid, rng.choice((0, 0, 1, 4))) for vid in ids]
+        edges = [
+            (rng.choice(ids), rng.choice(ids), rng.choice((1, 1, 2, 5)))
+            for _ in range(rng.randint(0, 14))
+        ]
+        lines = ["# seeded"]
+        for vid, weight in vertices:
+            lines.append(f"v {vid} {weight}" if weight or rng.random() < 0.3 else f"v {vid}")
+        for a, b, mult in edges:
+            lines.append(f"e {a} {b} {mult}" if mult > 1 or rng.random() < 0.3 else f"e {a} {b}")
+            if rng.random() < 0.2:
+                lines.append("")
+        parsed = cf.parse_graph("\n".join(lines) + "\n").graph
+        built = cf.Graph(vertices, edges)
+        assert parsed == built and hash(parsed) == hash(built)
+        for table in ("_adj_items", "_index", "_degrees", "_loopless_genus"):
+            assert getattr(parsed, table) == getattr(built, table)
 
 
 def test_parse_edge_before_vertex_reports_line_and_token():
@@ -803,3 +830,108 @@ def test_cli_repeated_calls_give_the_same_bytes(dhar5_file, monkeypatch, capsys)
     narrow = capsys.readouterr().out
     assert narrow != wide
     assert max(len(line) for line in narrow.splitlines()) <= 40
+
+
+# -- golden bytes of large reductions and the seeded sweep ------------------
+
+
+# the larger graphs: cycles, grids, a complete graph and a 1,100-vertex
+# path whose last three vertices close a triangle
+_LARGE_GRAPHS = {
+    "cycle30": lambda: cycle_graph(30),
+    "grid8": lambda: grid_graph(8),
+    "grid15": lambda: grid_graph(15),
+    "complete20": lambda: cf.Graph(
+        [f"v{v}" for v in range(20)], [(f"v{a}", f"v{b}") for a in range(20) for b in range(a + 1, 20)]
+    ),
+    "path1100": lambda: tadpole_graph(1100),
+}
+
+# sha256 of the --json standard output of `reduce` and of `equiv`.  The
+# reduced divisor and the normalized script are unique, so any correct
+# reduction prints these bytes, however many rounds it fires.
+_LARGE_OUTPUT_SHA256 = {
+    ("cycle30", 1000): (
+        "a11c0b6459ca1d3d181d5c2d286e580d58f42d32247e557fd37767b061924679",
+        "1a27703c1bcee22c311f5b7f2ccc8da6326c7037c34a78dd5120408bfd11cb0e",
+    ),
+    ("grid8", 1500): (
+        "71506b9c48b1fc1815354e54783fe950fe84727ea54681d31d16f291ce7e536f",
+        "feb3e0977809a536fb1f472e6b3810b1e5e8f8c0ab60b63a77afc6446e317d15",
+    ),
+    ("grid15", 300): (
+        "9b93303a83010b750c0ee3784a0538f23061ce53459a7c1f38529b9849cc0b0c",
+        "f8d7111d8d5cf1cd41d0ab5634167e6ec8d2deaabd2ffa8ffa03f49a56db7507",
+    ),
+    ("complete20", 5000): (
+        "04e782e6273ea48aacccfa895215da8900f412ada561f81e3c35103da53d49bd",
+        "08857f5259e1c513d2fe7a594219b000351c0acfe1203c7f8ffc49fa5c4849ba",
+    ),
+    ("path1100", 1): (
+        "be409300e0798354842c5b0ed1c44063532c803fce831cb57d9e50503aad5dca",
+        "17e838fde0a8c94e6246714c2b6b135569e794798759bf107784919e15c587aa",
+    ),
+}
+
+
+def _large_inputs(name, chips):
+    """The divisor and base for `reduce`, and a second divisor equivalent
+    to the first for `equiv`: seeded chips and a seeded script of levels
+    0-3, or on the path one chip at v0 against one at v1097."""
+    graph = _LARGE_GRAPHS[name]()
+    n = graph.vertex_count
+    if name == "path1100":
+        return graph, cf.Divisor(graph, {"v0": 1}), "v1098", cf.Divisor(graph, {"v1097": 1})
+    rng = random.Random(f"{name}:{chips}")
+    values = [0] * n
+    for _ in range(chips):
+        values[rng.randrange(n)] += 1
+    divisor = cf.Divisor(graph, values)
+    script = cf.FiringScript(graph, [rng.randint(0, 3) for _ in range(n)])
+    return graph, divisor, f"v{rng.randrange(n)}", divisor + cf.apply_script(script)
+
+
+@pytest.mark.parametrize("name, chips", list(_LARGE_OUTPUT_SHA256))
+def test_cli_large_reduce_and_equiv_bytes_are_pinned(tmp_path, capsys, name, chips):
+    graph, divisor, base, other = _large_inputs(name, chips)
+    path = tmp_path / f"{name}.graph"
+    path.write_text(cf.render_graph(graph))
+    literal = cf.render_divisor(divisor)
+    digests = []
+    for argv in (
+        ["reduce", str(path), "-d", literal, "-u", base, "--json"],
+        ["equiv", str(path), "-d", literal, "-e", cf.render_divisor(other), "--json"],
+    ):
+        assert main(argv) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(digests) == _LARGE_OUTPUT_SHA256[name, chips]
+
+
+_SWEEP_20260810_CHECKS = (
+    ("riemann-roch", 500), ("clifford", 500), ("class-invariance", 500),
+    ("lower-bound", 500), ("monotonicity", 500), ("g0-comparison", 500),
+    ("bullet-identity", 500), ("high-degree", 500), ("rank-zero-characterization", 500),
+    ("fast-path-agreement", 434), ("oracle-rank", 124), ("oracle-reduced", 500),
+    ("reduce-canonical", 500),
+)
+
+
+def test_cli_seeded_sweep_output_is_pinned(capsys):
+    # the whole report of the criterion-7 seed, byte for byte, as text and JSON
+    argv = ["sweep", "--trials", "500", "--seed", "20260810"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "\n".join(
+        ["trials: 500 (seed 20260810, resampled 138)"]
+        + [f"check {name}: {count} run" for name, count in _SWEEP_20260810_CHECKS]
+        + ["failures: 0", "result: PASS", ""]
+    )
+    assert main(argv + ["--json"]) == 0
+    payload = {
+        "seed": 20260810,
+        "trials": 500,
+        "resampled": 138,
+        "checks": dict(_SWEEP_20260810_CHECKS),
+        "failures": [],
+        "ok": True,
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import chipfire as cf
+from chipfire.oracle import _class_signature, _class_signatures
 from conftest import binary_graph, seeded_instances
 
 
@@ -34,6 +35,19 @@ def test_brute_rank_budgets():
 def test_brute_rank_rejects_weighted(weighted_binary):
     with pytest.raises(cf.DomainError):
         cf.brute_rank(weighted_binary.divisors["example"])
+
+
+def test_combined_signatures_equal_the_direct_solve():
+    # one solve per unit vector, combined linearly, gives each vector's
+    # residues of its own solve, with or without debt
+    checked = 0
+    for rng, graph, divisor in seeded_instances(191, 120, max_vertices=6, max_edges=10, max_value=9):
+        plain = cf.strip_weights_and_loops(graph)
+        signature = _class_signatures(plain)
+        for values in (list(divisor.values), [abs(x) for x in divisor.values], [0] * plain.vertex_count):
+            assert signature(values) == _class_signature(plain, values)
+        checked += plain.vertex_count > 2
+    assert checked > 60
 
 
 # -- brute reducedness --------------------------------------------------------

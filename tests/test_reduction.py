@@ -9,7 +9,15 @@ import chipfire as cf
 import chipfire.reduction
 from chipfire.oracle import _class_signature
 from chipfire.reduction import _burn, _dhar_indices, _fire_indices
-from conftest import binary_graph, connected_graphs, graph_with_divisor, seeded_instances
+from conftest import (
+    binary_graph,
+    connected_graphs,
+    cycle_graph,
+    graph_with_divisor,
+    grid_graph,
+    seeded_instances,
+    tadpole_graph,
+)
 
 
 # -- dhar --------------------------------------------------------------------
@@ -294,15 +302,10 @@ def test_halving_waits_for_the_first_round(monkeypatch):
     assert len(burns) == 2
 
 
-def _cycle(n):
-    ids = [f"v{i}" for i in range(n)]
-    return cf.Graph(ids, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
-
-
 def test_debt_clearing_guard_trips_on_a_broken_degree_table():
     # with every degree halved a borrow gains one chip while its two
     # neighbours lose one each, so chips vanish and the debt never clears
-    g = _cycle(5)
+    g = cycle_graph(5)
     g._degrees = (1,) * 5
     with pytest.raises(cf.InternalError, match="debt clearing did not terminate"):
         chipfire.reduction._reduce_indices(g, [0, 0, -3, 0, 0], 0)
@@ -311,7 +314,95 @@ def test_debt_clearing_guard_trips_on_a_broken_degree_table():
 def test_firing_guard_trips_when_a_round_moves_nothing(monkeypatch):
     monkeypatch.setattr(chipfire.reduction, "_fire_indices", lambda graph, values, room, members: 0)
     with pytest.raises(cf.InternalError, match="reduction did not terminate"):
-        chipfire.reduction._reduce_indices(_cycle(5), [0, 2, 0, 0, 0], 0)
+        chipfire.reduction._reduce_indices(cycle_graph(5), [0, 2, 0, 0, 0], 0)
+
+
+def _fire_every_unburned(graph, values, room, members, interior_rounds):
+    """Reference round: the whole unburned set fires, interior vertices
+    included, which lose 0 * t chips; ``members`` is ignored."""
+    unburned = [v for v, r in enumerate(room) if r >= 0]
+    out = [values[v] - room[v] for v in unburned]
+    interior_rounds.append(0 in out)
+    times = min(values[v] // k for v, k in zip(unburned, out) if k)
+    for v, k in zip(unburned, out):
+        values[v] -= k * times
+        for w, mult in graph._adj_items[v]:
+            if room[w] < 0:
+                values[w] += mult * times
+    return times
+
+
+def _counted_reduction(monkeypatch, fire, graph, values, base):
+    """``_reduce_indices`` with ``fire`` as its firing kernel: its values,
+    unnormalized levels and the number of burns and firings."""
+    calls = {"burn": 0, "fire": 0}
+
+    def burn(*args):
+        calls["burn"] += 1
+        return _burn(*args)
+
+    def counted_fire(*args):
+        calls["fire"] += 1
+        return fire(*args)
+
+    monkeypatch.setattr(chipfire.reduction, "_burn", burn)
+    monkeypatch.setattr(chipfire.reduction, "_fire_indices", counted_fire)
+    values, levels = chipfire.reduction._reduce_indices(graph, list(values), base)
+    monkeypatch.undo()
+    return values, levels, calls
+
+
+def test_firing_the_cut_is_the_round_of_the_whole_unburned_set(monkeypatch):
+    # the same values, unnormalized levels, burns and firings as a round
+    # that fires every unburned vertex, on multigraphs with parallel edges,
+    # with and without debt and with piles that the reduction halves
+    interior_rounds: list[bool] = []
+
+    def reference(graph, values, room, members):
+        return _fire_every_unburned(graph, values, room, members, interior_rounds)
+
+    halved = 0
+    for rng, graph, divisor in seeded_instances(19, 240, max_vertices=8, max_edges=14):
+        n = graph.vertex_count
+        edges = [e for e, _ in graph.edge_items() if e[0] != e[1]]
+        if not edges:
+            continue
+        graph = graph.with_extra_edges(
+            [(*rng.choice(edges), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        )
+        base = rng.randrange(n)
+        values = list(divisor.values)
+        kind = rng.randrange(3)
+        if kind:  # effective off the base
+            values = [x if v == base else abs(x) for v, x in enumerate(values)]
+        if kind == 2:  # piles far above the halving bound 2g' + n - 1
+            for _ in range(rng.randint(1, 3)):
+                values[rng.randrange(n)] += rng.randint(10**3, 10**6)
+            halved += 1
+        assert _counted_reduction(monkeypatch, _fire_indices, graph, values, base) == (
+            _counted_reduction(monkeypatch, reference, graph, values, base)
+        )
+    assert halved > 50
+    assert interior_rounds.count(True) > 100 and interior_rounds.count(False) > 100
+
+
+@pytest.mark.parametrize(
+    "graph, chips, base, burns, firings",
+    [
+        # one chip moves one vertex per round: firing the cut makes the
+        # rounds cheaper, not fewer
+        (tadpole_graph(1100), {"v0": 1}, "v1098", 1098, 1097),
+        (tadpole_graph(1100), {"v0": 1, "v1098": -1}, "v1098", 1098, 1097),
+        (cycle_graph(30), {"v7": 1000, "v20": 3}, "v0", 172, 166),
+        (cycle_graph(30), {"v3": -5, "v11": 40, "v19": 40}, "v0", 36, 33),
+        (grid_graph(8), {"v63": 1500}, "v0", 312, 307),
+        (grid_graph(8), {"v9": 300, "v36": 300, "v54": 300}, "v63", 217, 213),
+    ],
+)
+def test_firing_round_counts_are_pinned(monkeypatch, graph, chips, base, burns, firings):
+    divisor = cf.Divisor(graph, chips)
+    calls = _counted_reduction(monkeypatch, _fire_indices, graph, divisor.values, graph.index(base))[2]
+    assert calls == {"burn": burns, "fire": firings}
 
 
 # -- saturation ---------------------------------------------------------------
