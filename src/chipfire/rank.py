@@ -34,10 +34,10 @@ than enumerating its tuples.  Otherwise, and always at the failing level
 (so that the witness is the lexicographically smallest failing tuple), the
 tuples are enumerated, under a budget on each level's candidate count.
 
-The enumeration keeps the class of D - e[:t] for every prefix of the
-current tuple e.  The lex successor raises one coordinate and clears the
-ones after it up to the last, so its class is one step from a kept
-prefix class plus one step per chip at the last vertex.  A step c - v
+The enumeration walks the level's prefix tree in lex order, one frame
+per coordinate: a node holds the class of D - e[:t] for its prefix, its
+next sibling's class is one step from it, and a tuple's class is one step
+per chip at the last vertex from its parent's.  A step c - v
 needs work only when c(v) = 0 off the base, and then the borrowing of
 phase 1 of the reduction settles it with no burn after it: c reduced
 means deg - 1 - c is a recurrent sandpile with the base as sink, c - v
@@ -153,13 +153,13 @@ def _child(
         child[v] -= 1
         return tuple(child) if child[base] >= 0 else None
     key = c, v
-    try:
-        return memo[key]
-    except KeyError:
-        pass
+    # the memo holds tuples and None, so False marks a step not taken yet
+    found = memo.get(key, False)
+    if found is not False:
+        return found
     child = list(c)
     child[v] = -1
-    _borrow(graph, child, base, deque((v,)), [0] * len(child))
+    _borrow(graph, child, base, deque((v,)), None)
     found = memo[key] = tuple(child) if child[base] >= 0 else None
     return found
 
@@ -208,16 +208,18 @@ def _scan_level(
     enumerated instead, so ``failing`` is the same either way.  The budget
     counts the level's candidates in both cases.
 
-    The enumeration walks the tuples in lex order and keeps ``pc[t]``, the
-    class of the values minus ``e[:t]``.  The lex successor raises one
-    coordinate j by a chip and clears ``j+1..n-2``, so it keeps
-    ``pc[:j+1]``, takes ``pc[j+1]`` one ``_child`` step at j, and copies
-    it to the cleared prefixes; the tuple's class is then ``e[n-1]``
-    steps at the last vertex.  ``memo`` holds the search's borrowed
-    ``_child`` steps and is shared by its levels, so a step is settled
-    once per search however many tuples or levels reach it.  A prefix
-    class that is None fails every extension, so the first tuple that
-    meets a None is the lex-first failing tuple.
+    The enumeration walks the level's prefix tree in lex order: ``walk(t,
+    c, m)`` runs over the tuples with a fixed prefix ``e[:t]``, where ``c``
+    is the class of the values minus that prefix (None when it has no
+    effective representative) and ``m`` the chips left.  It tries ``e[t] =
+    0..m`` and takes one ``_child`` step at t between two tries; its
+    innermost level splits the chips between the last two vertices and
+    takes ``e[n-1]`` steps at the last one for each tuple's class.
+    ``memo`` holds the search's borrowed ``_child`` steps and is shared by
+    its levels, so a step is settled once per search however many tuples
+    or levels reach it.  A prefix class that is None fails every
+    extension: it is carried down to the subtree's first tuple, which is
+    the lex-first failing tuple, so no step is taken from a None class.
     """
     n = graph.vertex_count
     count = _check_budget(k, n, budget)
@@ -229,33 +231,54 @@ def _scan_level(
         children = _expand_classes(graph, base, memo, previous)
         if children is not None:
             return None, children
+    start = tuple(base_reduced) if base_reduced[base] >= 0 else None
+    if n == 1:
+        # the one candidate (k,) passes: its class has degree >= 0
+        for _ in range(k):
+            start = _child(graph, base, memo, start, 0)
+        return None, {start}
     # past this many classes, expanding them costs more than enumerating
     # the next level
     limit = _level_count(k + 1, n) // n
     classes: Optional[set[tuple[int, ...]]] = set()
     last = n - 1
-    pc = [tuple(base_reduced) if base_reduced[base] >= 0 else None] * n
-    # the coordinate the lex successor of the current tuple raises; -1
-    # before the first tuple
-    j = -1
-    for e in iter_effective_values(k, n):
-        if j >= 0:
-            pc[j + 1:] = [_child(graph, base, memo, pc[j + 1], j)] * (last - j)
-        c = pc[last]
-        for _ in range(e[last]):
-            if c is None:
-                break
-            c = _child(graph, base, memo, c, last)
-        if c is None:
-            return e, None
-        if classes is not None:
-            classes.add(c)
-            if len(classes) > limit:
-                classes = None
-        # the successor moves a chip off the last vertex to n - 2 when there
-        # is one there; otherwise its raised coordinate is just before this
-        # one's last non-zero prefix coordinate, which is j
-        j = last - 1 if e[last] else j - 1
+    e = [0] * n
+
+    def walk(t: int, c: Optional[tuple[int, ...]], m: int) -> Optional[tuple[int, ...]]:
+        nonlocal classes
+        if t < last - 1:
+            for a in range(m + 1):
+                if a:
+                    c = _child(graph, base, memo, c, t)
+                e[t] = a
+                failing = walk(t + 1, c, m - a)
+                if failing is not None:
+                    return failing
+            return None
+        for a in range(m + 1):
+            if a:
+                c = _child(graph, base, memo, c, t)
+            leaf = c
+            for _ in range(m - a):
+                if leaf is None:
+                    break
+                leaf = _child(graph, base, memo, leaf, last)
+            if leaf is None:
+                e[t], e[last] = a, m - a
+                return tuple(e)
+            if classes is not None:
+                classes.add(leaf)
+                if len(classes) > limit:
+                    classes = None
+        return None
+
+    failing = walk(0, start, k)
+    # walk reaches itself through its closure; unbinding it breaks that
+    # cycle, so the memo and classes it holds are freed now rather than at
+    # whichever collector pass comes next
+    del walk
+    if failing is not None:
+        return failing, None
     return None, classes
 
 

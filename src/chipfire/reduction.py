@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, InternalError
 from .divisor import Divisor, FiringScript
@@ -120,13 +120,15 @@ def _fire_indices(graph: Graph, values: list[int], room: list[int], members: lis
 
 
 def _borrow(
-    graph: Graph, values: list[int], base: int, debtors: deque[int], levels: list[int]
+    graph: Graph, values: list[int], base: int, debtors: deque[int], levels: Optional[list[int]]
 ) -> None:
     """Clear the debt off the base by least-action borrowing, in place.
 
     ``debtors`` holds the vertices in debt off the base, each once.  A
     vertex in debt borrows (loses a firing level) ``k = ceil(debt / deg)``
-    times at once, and a neighbour that crosses into debt is queued.  Each
+    times at once, and a neighbour that crosses into debt is queued.  The
+    lost levels are recorded in ``levels``, unless it is None: a class
+    step of the rank search reads only the values.  Each
     borrow is a legal toppling of the sandpile ``deg - 1 - D`` with the
     base as sink, so (abelian property, least action principle: Fey,
     Levine and Peres, 2010) the total borrowing is finite, the same in any
@@ -156,7 +158,8 @@ def _borrow(
         v = debtors.popleft()  # still in debt: only its own borrowing adds chips
         times = (degree[v] - 1 - values[v]) // degree[v]
         values[v] += degree[v] * times
-        levels[v] -= times
+        if levels is not None:
+            levels[v] -= times
         for w, mult in adj_items[v]:
             lost = mult * times
             if 0 <= values[w] < lost and w != base:

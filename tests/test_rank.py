@@ -1,7 +1,9 @@
+import gc
 import importlib
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -257,30 +259,31 @@ def test_rank_matches_lex_scan_and_brute_rank():
 def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
     rank_module = importlib.import_module("chipfire.rank")
     scan = rank_module._scan_level
-    enumerate_level = rank_module.iter_effective_values
-    enumerated = []
+    expand = rank_module._expand_classes
+    expansions = []
     spanning_trees = {}
     decided_from_classes = 0
 
-    def counting(degree, size):
-        enumerated.append(degree)
-        return enumerate_level(degree, size)
+    def counting(graph, base, memo, previous):
+        children = expand(graph, base, memo, previous)
+        expansions.append(children)
+        return children
 
     def level_classes(graph, base_reduced, base, k):
         return {
             cf.reduce_divisor(
                 cf.Divisor(graph, base_reduced) - cf.Divisor(graph, e), graph.vertex_ids[base]
             )[0].values
-            for e in enumerate_level(k, graph.vertex_count)
+            for e in cf.iter_effective_values(k, graph.vertex_count)
         }
 
     def checked(graph, base_reduced, base, k, budget, memo, previous=None):
         nonlocal decided_from_classes
         if graph not in spanning_trees:
             spanning_trees[graph] = _solve_reduced(graph, [0] * graph.vertex_count)[1]
-        before = len(enumerated)
+        before = len(expansions)
         failing, classes = scan(graph, base_reduced, base, k, budget, memo, previous)
-        from_classes = failing is None and len(enumerated) == before
+        from_classes = failing is None and len(expansions) > before and expansions[-1] is not None
         if classes is not None:
             assert classes == level_classes(graph, base_reduced, base, k)
             assert len(classes) <= spanning_trees[graph]
@@ -301,7 +304,7 @@ def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
     edges += [("v1", "p1"), ("p1", "p2"), ("p2", "p3"), ("p3", "p4")]
     pendant = cf.Divisor(cf.Graph(ids, edges), (2, 2, 2, 2, 0, 0, 0, 0))
 
-    monkeypatch.setattr(rank_module, "iter_effective_values", counting)
+    monkeypatch.setattr(rank_module, "_expand_classes", counting)
     monkeypatch.setattr(rank_module, "_scan_level", checked)
     for divisor in _banded_instances(502, 40) + [pendant]:
         cf.rank(divisor, exhaustive=True)
@@ -362,7 +365,26 @@ def test_scan_level_matches_a_per_tuple_reference():
     banana_base = 1
     banana_reduced = rank_module._reduce_indices(banana, [-1, 2], banana_base)[0]
     assert banana_reduced[banana_base] < 0 and sum(banana_reduced) >= 0
-    cases = _scan_cases(503, 30) + [(single, [3], 0, 4), (banana, banana_reduced, banana_base, 2)]
+    # a 5-cycle with the chord a-c: from the a-reduced (1, 0, 1, 1, 0), the
+    # prefix (0, 0, 2) already has no effective representative, so a class
+    # turns None at coordinate 2, below n - 2, after every tuple before
+    # (0, 0, 2, 0, 0) passed
+    chord = cf.Graph(
+        ["a", "b", "c", "d", "e"],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a"), ("a", "c")],
+    )
+    assert cf.is_reduced(cf.Divisor(chord, (1, 0, 1, 1, 0)), "a")
+    prefix, _ = cf.reduce_divisor(cf.Divisor(chord, (1, 0, -1, 1, 0)), "a")
+    assert prefix["a"] < 0
+    # (-1, 0, 0, 0, 1) is a-reduced and negative at a, so level 0 carries
+    # a None class through every coordinate
+    assert cf.is_reduced(cf.Divisor(chord, (-1, 0, 0, 0, 1)), "a")
+    cases = _scan_cases(503, 30) + [
+        (single, [3], 0, 4),
+        (banana, banana_reduced, banana_base, 2),
+        (chord, [1, 0, 1, 1, 0], 0, 2),
+        (chord, [-1, 0, 0, 0, 1], 0, 0),
+    ]
     failures = 0
     for graph, base_reduced, base, top in cases:
         memo = {}
@@ -380,40 +402,71 @@ def test_scan_level_matches_a_per_tuple_reference():
     assert failures >= len(cases)
     assert scan(banana, banana_reduced, banana_base, 0, 10**6, {}) == ((0, 0), None)
     assert scan(single, [3], 0, 4, 10**6, {}) == ((4,), None)
+    assert scan(chord, [1, 0, 1, 1, 0], 0, 2, 10**6, {}) == ((0, 0, 2, 0, 0), None)
+    assert scan(chord, [-1, 0, 0, 0, 1], 0, 0, 10**6, {}) == ((0,) * 5, None)
+
+
+def test_rank_search_leaves_no_cyclic_garbage():
+    # a reference cycle left by the search would keep its step memo alive
+    # until the collector happens to run, so memory would depend on timing
+    divisors = list(_banded_instances(503, 12))
+    gc.collect()
+    gc.disable()
+    try:
+        for divisor in divisors:
+            cf.rank(divisor, exhaustive=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     # a class step reduces through the borrowing kernel alone, and the rest
-    # through the full reduction: both are counted where rank reaches them
+    # through the full reduction: all three are counted where rank reaches
+    # them, and the counts are pinned, so a scan that takes a class step
+    # twice, or one it does not need, changes them
     rank_module = importlib.import_module("chipfire.rank")
-    reduce_indices, borrow = rank_module._reduce_indices, rank_module._borrow
-    calls = []
+    calls = Counter()
 
-    def counting(graph, values, base):
-        calls.append(base)
-        return reduce_indices(graph, values, base)
+    def counted(name):
+        function = getattr(rank_module, name)
 
-    def counting_borrow(graph, values, base, debtors, levels):
-        calls.append(base)
-        return borrow(graph, values, base, debtors, levels)
+        def counting(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(rank_module, name, counting)
+
+    for name in ("_reduce_indices", "_borrow", "_child"):
+        counted(name)
 
     ids = [f"g{i}_{j}" for i in range(3) for j in range(4)]
     edges = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(2) for j in range(4)]
     edges += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(3) for j in range(3)]
     all_ones = cf.Divisor(cf.Graph(ids, edges), (1,) * 12)
-    monkeypatch.setattr(rank_module, "_reduce_indices", counting)
-    monkeypatch.setattr(rank_module, "_borrow", counting_borrow)
     counts = []
     for _ in range(2):
         calls.clear()
         result = cf.rank(all_ones, exhaustive=True)
         assert result.rank == 6
         assert result.witness.nonzero_items() == (("g2_2", 7),)
-        counts.append(len(calls))
-    # 18,475 when every candidate was reduced from scratch; the same count
-    # again shows that nothing carried over from the first search
-    assert counts[0] <= 8000
+        counts.append(dict(calls))
+    # 18,475 reductions when every candidate was reduced from scratch; the
+    # same counts again show that nothing carried over from the first search
+    assert counts[0] == {"_reduce_indices": 2, "_child": 27175, "_borrow": 6765}
     assert counts[1] == counts[0]
+
+    # genus 6 with a weight and a loop: K - D ranks first, on the hat graph,
+    # and D's search starts one level above the rank that gives
+    weighted = cf.Graph(
+        [("a", 2), "b", "c", "d"],
+        [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"), ("b", "b")],
+    )
+    calls.clear()
+    result = cf.rank(cf.Divisor(weighted, (2, 2, 1, 1)))
+    assert (result.rank, result.method) == (2, "riemann-roch")
+    assert result.witness.nonzero_items() == (("a.z1", 1), ("a.z2", 1), ("b.z1", 1))
+    assert calls == {"_reduce_indices": 3, "_child": 25, "_borrow": 16}
 
 
 def test_class_step_by_borrowing_alone_is_the_reduction(monkeypatch):
