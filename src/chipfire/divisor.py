@@ -254,11 +254,12 @@ def rank_for_degree(degree: int, genus: int) -> int:
 
 
 def _pointwise(divisor: Divisor, scalar_map, operation: str) -> Divisor:
-    """``scalar_map(value, local genus)`` at every vertex of an effective divisor."""
+    """``scalar_map(value, weight + loops)`` at every vertex of an effective divisor."""
     if not divisor.is_effective:
         raise DomainError(f"{operation} is defined for effective divisors only")
     g = divisor.graph
-    return Divisor(g, [scalar_map(x, g.local_genus(v)) for v, x in zip(g.vertex_ids, divisor.values)])
+    genera = map(operator.add, g.weights, g._loops)
+    return Divisor(g, [scalar_map(x, genus) for x, genus in zip(divisor.values, genera)])
 
 
 def degree_demand(divisor: Divisor) -> Divisor:
@@ -303,15 +304,21 @@ def lift_divisor(embedding: HatEmbedding, divisor: Divisor) -> Divisor:
 def iter_effective_values(degree: int, size: int) -> Iterator[tuple[int, ...]]:
     """All non-negative integer tuples of the given length and sum, in
     lexicographic order: C(degree + size - 1, size - 1) of them, and none
-    for a negative degree."""
-    if size < 1:
+    for a negative degree.  A tuple's successor moves one chip from its
+    last nonzero entry j > 0 to entry j - 1 and the rest of entry j to the
+    last entry, in place."""
+    if size < 1 or degree < 0:
         if degree == 0:
             yield ()
         return
-    if size == 1:
-        if degree >= 0:
-            yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in iter_effective_values(degree - first, size - 1):
-            yield (first,) + rest
+    last = size - 1
+    e = [0] * last + [degree]
+    j = last if degree else 0  # the last nonzero entry, or 0
+    while j:
+        yield tuple(e)
+        rest = e[j] - 1
+        e[j] = 0
+        e[j - 1] += 1
+        e[last] = rest
+        j = last if rest else j - 1
+    yield tuple(e)

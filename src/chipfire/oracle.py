@@ -95,7 +95,7 @@ def brute_rank(divisor: Divisor) -> int:
     degree 8.
     """
     graph = divisor.graph
-    if any(graph.weights) or any(graph.loop_count(v) for v in graph.vertex_ids):
+    if any(graph.weights) or any(graph._loops):
         raise DomainError("brute_rank handles weightless loopless graphs only")
     graph.require_connected("brute_rank")
     n = graph.vertex_count

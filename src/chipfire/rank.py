@@ -34,25 +34,24 @@ than enumerating its tuples.  Otherwise, and always at the failing level
 (so that the witness is the lexicographically smallest failing tuple), the
 tuples are enumerated, under a budget on each level's candidate count.
 
-The enumeration walks the level's prefix tree in lex order, one frame
-per coordinate: a node holds the class of D - e[:t] for its prefix, its
-next sibling's class is one step from it, and a tuple's class is one step
-per chip at the last vertex from its parent's.  A step c - v
-needs work only when c(v) = 0 off the base, and then the borrowing of
-phase 1 of the reduction settles it with no burn after it: c reduced
-means deg - 1 - c is a recurrent sandpile with the base as sink, c - v
-adds a grain to it, and its stabilization, which is the borrowing, is
-recurrent again, that is reduced (``_child``).  The witness is still
-certified by the full reduction.  Each search keeps those answers in a
-memo of its own, shared by its levels and by the class expansion and
-dropped when the search ends: no step is settled twice in one search,
-and no search is answered from another, so a check that ranks two
-representatives of one class still runs two searches.
+One search is one ``_Search``: the graph, the values, their base and
+base-reduced representative (computed once, when it is built), the
+budget, and a memo of class steps.  ``rank`` and ``rank_geq`` each build
+one, and the Riemann-Roch route one more for the dual.  Its level scan
+walks the level's prefix tree in lex order (``_Search._walk``), one class
+step c - v per node (``_child``): only a step at an empty vertex off the
+base needs work, and the borrowing of the reduction settles it with no
+burn.  The witness is still certified by the full reduction.  The memo
+keeps the steps' answers for the search's levels and its class
+expansion, and goes with the search: no step is settled twice in one
+search, and no search is answered from another, so a check that ranks
+two representatives of one class still runs two searches.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -62,7 +61,6 @@ from .divisor import (
     degree_for_rank,
     iter_effective_values,
     rank_capacity,
-    rank_for_degree,
     rank_lower_bound,
 )
 from .errors import BudgetError, DomainError, InternalError
@@ -104,7 +102,7 @@ class RankResult:
 
 
 def _require_weightless_loopless(graph: Graph, operation: str) -> None:
-    if any(graph.weights) or any(graph.loop_count(v) for v in graph.vertex_ids):
+    if any(graph.weights) or any(graph._loops):
         raise DomainError(f"{operation} is defined on weightless loopless graphs; use rank()")
 
 
@@ -164,94 +162,138 @@ def _child(
     return found
 
 
-def _expand_classes(
-    graph: Graph,
-    base: int,
-    memo: _Memo,
-    previous: set[tuple[int, ...]],
-) -> Optional[set[tuple[int, ...]]]:
-    """The base-reduced classes c - v for every class c in ``previous`` and
-    every vertex v, or None at the first one that is negative at the base;
-    each is one ``_child`` step, answered from ``memo`` when the level scan
-    or an earlier expansion of this search already took it."""
-    n = graph.vertex_count
-    children = set()
-    for c in previous:
-        for v in range(n):
-            child = _child(graph, base, memo, c, v)
-            if child is None:
-                return None
-            children.add(child)
-    return children
+class _Search:
+    """One search for the first failing level of ``values`` on the
+    weightless loopless ``graph``, under ``budget``.
 
+    The base and the values' base-reduced representative are computed
+    once, when the search is built.  ``memo`` holds the search's borrowed
+    ``_child`` steps, shared by its levels and by the class expansion, and
+    is dropped with the search."""
 
-def _scan_level(
-    graph: Graph,
-    base_reduced: list[int],
-    base: int,
-    k: int,
-    budget: int,
-    memo: _Memo,
-    previous: Optional[set[tuple[int, ...]]] = None,
-) -> tuple[Optional[tuple[int, ...]], Optional[set[tuple[int, ...]]]]:
-    """Decide the degree-k level: ``(failing, classes)``.
+    __slots__ = ("graph", "values", "base", "base_reduced", "budget", "memo")
 
-    ``failing`` is the first (lex order) effective degree-k tuple e for
-    which the class of the base-reduced values minus e has no effective
-    representative, or None when there is none.  ``classes`` is the set of
-    the level's classes as base-reduced tuples when the level passes and
-    the set stayed small enough to be worth expanding, otherwise None.
+    def __init__(self, graph: Graph, values: tuple[int, ...], budget: int):
+        self.graph = graph
+        self.values = values
+        self.base = _debt_base(values)
+        self.base_reduced, _ = _reduce_indices(graph, list(values), self.base)
+        self.budget = budget
+        self.memo: _Memo = {}
 
-    ``previous`` is the classes of the degree-(k-1) level.  When expanding
-    them by every vertex costs less than enumerating the level, the level
-    is decided from them; at the first class that fails, the level is
-    enumerated instead, so ``failing`` is the same either way.  The budget
-    counts the level's candidates in both cases.
+    def first_failing(
+        self, start: Optional[tuple[str, int]] = None
+    ) -> tuple[str, int, tuple[int, ...]]:
+        """``(method, rank, failing)``: ``failing`` is the lex-first tuple of
+        the first failing level, not yet certified.
 
-    The enumeration walks the level's prefix tree in lex order: ``walk(t,
-    c, m)`` runs over the tuples with a fixed prefix ``e[:t]``, where ``c``
-    is the class of the values minus that prefix (None when it has no
-    effective representative) and ``m`` the chips left.  It tries ``e[t] =
-    0..m`` and takes one ``_child`` step at t between two tries; its
-    innermost level splits the chips between the last two vertices and
-    takes ``e[n-1]`` steps at the last one for each tuple's class.
-    ``memo`` holds the search's borrowed ``_child`` steps and is shared by
-    its levels, so a step is settled once per search however many tuples
-    or levels reach it.  A prefix class that is None fails every
-    extension: it is carried down to the subtree's first tuple, which is
-    the lex-first failing tuple, so no step is taken from a None class.
-    """
-    n = graph.vertex_count
-    count = _check_budget(k, n, budget)
-    if sum(base_reduced) - k < 0:
-        # every class at this level has negative degree, so every candidate
-        # fails; the lex-smallest is all mass on the last vertex
-        return (0,) * (n - 1) + (k,), None
-    if previous is not None and len(previous) * n < count:
-        children = _expand_classes(graph, base, memo, previous)
-        if children is not None:
-            return None, children
-    start = tuple(base_reduced) if base_reduced[base] >= 0 else None
-    if n == 1:
-        # the one candidate (k,) passes: its class has degree >= 0
-        for _ in range(k):
-            start = _child(graph, base, memo, start, 0)
-        return None, {start}
-    # past this many classes, expanding them costs more than enumerating
-    # the next level
-    limit = _level_count(k + 1, n) // n
-    classes: Optional[set[tuple[int, ...]]] = set()
-    last = n - 1
-    e = [0] * n
+        ``start`` is the method and starting level the caller chose: the
+        exhaustive search at level 0 or a fast path it found.  Without one,
+        the reduced-negative and Riemann-Roch routes are tried here.
+        """
+        method, k = start or (METHOD_EXHAUSTIVE, 0)
+        if start is None:
+            degree, genus = sum(self.values), self.graph.genus()
+            if self.base_reduced[self.base] < 0:
+                method = METHOD_REDUCED_NEGATIVE
+            elif 2 * genus - 2 - degree < degree:
+                dual = tuple(d - 2 - x for d, x in zip(self.graph._degrees, self.values))
+                dual_rank = _Search(self.graph, dual, self.budget).first_failing()[1]
+                method, k = METHOD_RIEMANN_ROCH, dual_rank + degree - genus + 2
 
-    def walk(t: int, c: Optional[tuple[int, ...]], m: int) -> Optional[tuple[int, ...]]:
-        nonlocal classes
+        classes = None
+        while True:
+            failing, classes = self.scan_level(k, classes)
+            if failing is not None:
+                return method, k - 1, failing
+            if method != METHOD_EXHAUSTIVE:
+                raise InternalError("no failing divisor found one degree above the computed rank")
+            k += 1
+
+    def expand_classes(self, previous: set[tuple[int, ...]]) -> Optional[set[tuple[int, ...]]]:
+        """The base-reduced classes c - v for every class c in ``previous``
+        and every vertex v, or None at the first one that is negative at the
+        base; each is one ``_child`` step, answered from the memo when the
+        level scan or an earlier expansion of this search already took it."""
+        graph, base, memo = self.graph, self.base, self.memo
+        n = graph.vertex_count
+        children = set()
+        for c in previous:
+            for v in range(n):
+                child = _child(graph, base, memo, c, v)
+                if child is None:
+                    return None
+                children.add(child)
+        return children
+
+    def scan_level(
+        self, k: int, previous: Optional[set[tuple[int, ...]]] = None
+    ) -> tuple[Optional[tuple[int, ...]], Optional[set[tuple[int, ...]]]]:
+        """Decide the degree-k level: ``(failing, classes)``.
+
+        ``failing`` is the first (lex order) effective degree-k tuple e for
+        which the class of the base-reduced values minus e has no effective
+        representative, or None when there is none.  ``classes`` is the set
+        of the level's classes as base-reduced tuples when the level passes
+        and the set stayed small enough to be worth expanding, otherwise
+        None.
+
+        ``previous`` is the classes of the degree-(k-1) level.  When
+        expanding them by every vertex costs less than enumerating the
+        level, the level is decided from them; at the first class that
+        fails, the level is enumerated instead (``_walk``), so ``failing``
+        is the same either way.  The budget counts the level's candidates in
+        both cases.
+        """
+        base, base_reduced = self.base, self.base_reduced
+        n = self.graph.vertex_count
+        count = _check_budget(k, n, self.budget)
+        if sum(base_reduced) - k < 0:
+            # every class at this level has negative degree, so every candidate
+            # fails; the lex-smallest is all mass on the last vertex
+            return (0,) * (n - 1) + (k,), None
+        if previous is not None and len(previous) * n < count:
+            children = self.expand_classes(previous)
+            if children is not None:
+                return None, children
+        start = tuple(base_reduced) if base_reduced[base] >= 0 else None
+        if n == 1:
+            # the one candidate (k,) passes: its class has degree >= 0
+            for _ in range(k):
+                start = _child(self.graph, base, self.memo, start, 0)
+            return None, {start}
+        # past this many classes, expanding them costs more than enumerating
+        # the next level
+        limit = _level_count(k + 1, n) // n
+        classes: set[tuple[int, ...]] = set()
+        failing = self._walk(0, start, k, [0] * n, classes, limit)
+        if failing is not None:
+            return failing, None
+        return None, classes if len(classes) <= limit else None
+
+    def _walk(
+        self, t: int, c: Optional[tuple[int, ...]], m: int, e: list[int], classes: set, limit: int
+    ) -> Optional[tuple[int, ...]]:
+        """The first failing tuple with the prefix ``e[:t]``, or None.
+
+        ``c`` is the class of the values minus that prefix (None when it
+        has no effective representative) and ``m`` the chips left.  The
+        walk tries ``e[t] = 0..m`` and takes one ``_child`` step at t between
+        two tries; its innermost level splits the chips between the last
+        two vertices and takes ``e[n-1]`` steps at the last one for each
+        tuple's class, which it adds to ``classes`` until they number more
+        than ``limit``.  A prefix class that is None fails every extension:
+        it is carried down to the subtree's first tuple, which is the
+        lex-first failing tuple, so no step is taken from a None class.
+        """
+        graph, base, memo = self.graph, self.base, self.memo
+        last = len(e) - 1
         if t < last - 1:
             for a in range(m + 1):
                 if a:
                     c = _child(graph, base, memo, c, t)
                 e[t] = a
-                failing = walk(t + 1, c, m - a)
+                failing = self._walk(t + 1, c, m - a, e, classes, limit)
                 if failing is not None:
                     return failing
             return None
@@ -266,67 +308,18 @@ def _scan_level(
             if leaf is None:
                 e[t], e[last] = a, m - a
                 return tuple(e)
-            if classes is not None:
+            if len(classes) <= limit:
                 classes.add(leaf)
-                if len(classes) > limit:
-                    classes = None
         return None
 
-    failing = walk(0, start, k)
-    # walk reaches itself through its closure; unbinding it breaks that
-    # cycle, so the memo and classes it holds are freed now rather than at
-    # whichever collector pass comes next
-    del walk
-    if failing is not None:
-        return failing, None
-    return None, classes
-
-
-def _certify(graph: Graph, lifted: tuple[int, ...], base: int, failing: tuple[int, ...]) -> Divisor:
-    """The failing tuple as a divisor, after re-running its check from the
-    lifted values rather than their base-reduced representative."""
-    check = [a - b for a, b in zip(lifted, failing)]
-    reduced, _ = _reduce_indices(graph, check, base)
-    if reduced[base] >= 0:
-        raise InternalError("witness failed its certification re-run")
-    return Divisor(graph, failing)
-
-
-def _first_failing(
-    hat: Graph,
-    values: tuple[int, ...],
-    budget: int,
-    start: Optional[tuple[str, int]] = None,
-) -> tuple[str, int, tuple[int, ...]]:
-    """``(method, rank, failing)`` for ``values`` on the weightless loopless
-    ``hat``: ``failing`` is the lex-first tuple of the first failing level,
-    not yet certified.
-
-    ``start`` is the method and starting level the caller chose: the
-    exhaustive search at level 0 or a fast path it found.  Without one,
-    the reduced-negative and Riemann-Roch routes are tried here.
-    """
-    base = _debt_base(values)
-    base_reduced, _ = _reduce_indices(hat, list(values), base)
-    method, k = start or (METHOD_EXHAUSTIVE, 0)
-    memo: _Memo = {}
-    if start is None:
-        degree, genus = sum(values), hat.genus()
-        if base_reduced[base] < 0:
-            method = METHOD_REDUCED_NEGATIVE
-        elif 2 * genus - 2 - degree < degree:
-            dual = tuple(d - 2 - x for d, x in zip(hat._degrees, values))
-            dual_rank = _first_failing(hat, dual, budget)[1]
-            method, k = METHOD_RIEMANN_ROCH, dual_rank + degree - genus + 2
-
-    classes = None
-    while True:
-        failing, classes = _scan_level(hat, base_reduced, base, k, budget, memo, classes)
-        if failing is not None:
-            return method, k - 1, failing
-        if method != METHOD_EXHAUSTIVE:
-            raise InternalError("no failing divisor found one degree above the computed rank")
-        k += 1
+    def certify(self, failing: tuple[int, ...]) -> Divisor:
+        """The failing tuple as a divisor, after re-running its check from
+        the values rather than their base-reduced representative."""
+        check = [a - b for a, b in zip(self.values, failing)]
+        reduced, _ = _reduce_indices(self.graph, check, self.base)
+        if reduced[self.base] >= 0:
+            raise InternalError("witness failed its certification re-run")
+        return Divisor(self.graph, failing)
 
 
 def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = False) -> RankResult:
@@ -347,7 +340,6 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     graph = divisor.graph
     graph.require_connected("rank")
     hat = hat_graph(graph).target
-    lifted = divisor.values + (0,) * (hat.vertex_count - graph.vertex_count)  # zero on fresh ones
 
     start = None
     if exhaustive:
@@ -355,14 +347,15 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     # an effective divisor's class is never reduced-negative, so this test
     # may precede that one
     elif divisor.is_effective:
-        genera = [weight + loops for weight, loops in zip(graph.weights, graph._loops)]
-        capacity = tuple(map(rank_for_degree, divisor.values, genera))
+        capacity = rank_capacity(divisor).values
         explicit = next(_explicit_indices(divisor, capacity), None)
         if explicit is not None:
             start = METHOD_RANK_EXPLICIT, capacity[explicit] + 1
 
-    method, value, failing = _first_failing(hat, lifted, budget, start)
-    return RankResult(value, _certify(hat, lifted, _debt_base(lifted), failing), method)
+    lifted = divisor.values + (0,) * (hat.vertex_count - graph.vertex_count)  # zero on fresh ones
+    search = _Search(hat, lifted, budget)
+    method, value, failing = search.first_failing(start)
+    return RankResult(value, search.certify(failing), method)
 
 
 def rank_geq(
@@ -379,12 +372,11 @@ def rank_geq(
     graph.require_connected("rank_geq")
     if k < 0:
         raise DomainError("rank_geq needs k >= 0")
-    base = _debt_base(divisor.values)
-    base_reduced, _ = _reduce_indices(graph, list(divisor.values), base)
-    failing, _ = _scan_level(graph, base_reduced, base, k, budget, {})
+    search = _Search(graph, divisor.values, budget)
+    failing, _ = search.scan_level(k)
     if failing is None:
         return True, None
-    return False, _certify(graph, divisor.values, base, failing)
+    return False, search.certify(failing)
 
 
 def _explicit_indices(divisor: Divisor, capacity: tuple[int, ...]) -> Iterator[int]:
@@ -443,10 +435,9 @@ def rank_lower_bound_certified(
     graph.require_connected("rank_lower_bound_certified")
     n = graph.vertex_count
     _check_budget(r, n, budget)
-    local = [graph.local_genus(v) for v in graph.vertex_ids]
-    dvals = divisor.values
+    genera = list(map(operator.add, graph.weights, graph._loops))
     for e in iter_effective_values(r, n):
-        vals = [dvals[i] - degree_for_rank(e[i], local[i]) for i in range(n)]
+        vals = [x - degree_for_rank(a, genus) for x, a, genus in zip(divisor.values, e, genera)]
         if min(vals) >= 0:
             continue
         base = _debt_base(vals)
@@ -522,6 +513,7 @@ def binary_rank(genus: int, a: int, b: int) -> int:
     entry ``a mod (genus + 1)`` and checked at second entry
     ``b mod (genus + 1)``.
     """
+    genus, a, b = operator.index(genus), operator.index(a), operator.index(b)
     if genus < 0:
         raise DomainError("binary_rank needs genus >= 0")
     period = genus + 1

@@ -4,7 +4,13 @@ from hypothesis import strategies as st
 
 import chipfire as cf
 from chipfire.oracle import _class_signature
-from conftest import binary_graph, connected_graphs, graph_with_divisor, seeded_instances
+from conftest import (
+    binary_graph,
+    connected_graphs,
+    graph_with_divisor,
+    seeded_instances,
+    tadpole_graph,
+)
 
 
 # -- divisor basics ----------------------------------------------------------
@@ -347,6 +353,34 @@ def test_effective_enumeration_of_negative_degree_is_empty():
     assert list(cf.iter_effective_values(-3, 1)) == []
     assert list(cf.iter_effective_values(0, 1)) == [(0,)]
     assert list(cf.iter_effective_values(0, 0)) == [()]
+
+
+def _recursive_effective_values(degree, size):
+    """The enumeration by its recursive definition: each first entry in
+    increasing order, then every tuple of the rest."""
+    if size < 1:
+        if degree == 0:
+            yield ()
+        return
+    for first in range(degree + 1):
+        for rest in _recursive_effective_values(degree - first, size - 1):
+            yield (first,) + rest
+
+
+def test_effective_enumeration_matches_a_recursive_reference():
+    for degree in range(-2, 7):
+        for size in range(-1, 7):
+            expected = list(_recursive_effective_values(degree, size))
+            assert list(cf.iter_effective_values(degree, size)) == expected, (degree, size)
+
+
+def test_effective_enumeration_keeps_no_frame_per_entry():
+    # 1,100 entries, past the interpreter's default recursion limit
+    assert next(cf.iter_effective_values(0, 1100)) == (0,) * 1100
+    assert list(cf.iter_effective_values(1, 1100))[-1] == (1,) + (0,) * 1099
+    zero = cf.Divisor(tadpole_graph(1100))
+    assert cf.rank_lower_bound_certified(zero, 0)
+    assert not cf.rank_lower_bound_certified(zero, 1)
 
 
 # -- property tests ----------------------------------------------------------

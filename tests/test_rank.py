@@ -37,9 +37,25 @@ def test_rank_geq_certifies_its_witness(dhar5, monkeypatch):
     # a degree-3 tuple whose subtraction leaves d effective: it does not fail
     passing = (0, 0, 0, 0, 3)
     assert (d - cf.Divisor(dhar5.graph, passing)).is_effective
-    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_scan_level", lambda *args: (passing, None))
+    search = importlib.import_module("chipfire.rank")._Search
+    monkeypatch.setattr(search, "scan_level", lambda self, k, previous=None: (passing, None))
     with pytest.raises(cf.InternalError, match="^witness failed its certification re-run$"):
         cf.rank_geq(d, 3)
+
+
+def test_rank_geq_agrees_with_rank():
+    # rank_geq scans one level with a search of its own; rank searches level
+    # by level from 0, so the two share no class set and no memo
+    checked = 0
+    for _, graph, divisor in seeded_instances(1501, 600, max_weight=0):
+        if any(graph.loop_count(v) for v in graph.vertex_ids):
+            continue
+        result = cf.rank(divisor, exhaustive=True)
+        if result.rank >= 0:
+            assert cf.rank_geq(divisor, result.rank) == (True, None)
+        assert cf.rank_geq(divisor, result.rank + 1) == (False, result.witness)
+        checked += 1
+    assert checked >= 300
 
 
 def test_rank_geq_rejects_weighted_or_looped(weighted_binary):
@@ -81,10 +97,12 @@ def test_rank_fast_path_level_must_fail(monkeypatch):
     # that passes; the search must refuse rather than go on looking
     d = cf.Divisor(cf.Graph([("a", 2)]), (3,))
     assert cf.rank(d).rank == 1
-    # zero capacities make rank-explicit claim rank 0; rank() computes each
-    # vertex's capacity through the module's rank_for_degree binding
+    # zero capacities make rank-explicit claim rank 0; rank() computes the
+    # capacities through the module's rank_capacity binding
     monkeypatch.setattr(
-        importlib.import_module("chipfire.rank"), "rank_for_degree", lambda degree, genus: 0
+        importlib.import_module("chipfire.rank"),
+        "rank_capacity",
+        lambda divisor: cf.Divisor(divisor.graph, (0,) * divisor.graph.vertex_count),
     )
     with pytest.raises(cf.InternalError, match="one degree above the computed rank"):
         cf.rank(d)
@@ -258,41 +276,46 @@ def test_rank_matches_lex_scan_and_brute_rank():
 
 def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
     rank_module = importlib.import_module("chipfire.rank")
-    scan = rank_module._scan_level
-    expand = rank_module._expand_classes
+    search_type = rank_module._Search
+    scan = search_type.scan_level
+    expand = search_type.expand_classes
     expansions = []
     spanning_trees = {}
     decided_from_classes = 0
 
-    def counting(graph, base, memo, previous):
-        children = expand(graph, base, memo, previous)
+    def counting(search, previous):
+        children = expand(search, previous)
         expansions.append(children)
         return children
 
-    def level_classes(graph, base_reduced, base, k):
+    def level_classes(search, k):
+        graph = search.graph
         return {
             cf.reduce_divisor(
-                cf.Divisor(graph, base_reduced) - cf.Divisor(graph, e), graph.vertex_ids[base]
+                cf.Divisor(graph, search.base_reduced) - cf.Divisor(graph, e),
+                graph.vertex_ids[search.base],
             )[0].values
             for e in cf.iter_effective_values(k, graph.vertex_count)
         }
 
-    def checked(graph, base_reduced, base, k, budget, memo, previous=None):
+    def checked(search, k, previous=None):
         nonlocal decided_from_classes
+        graph = search.graph
         if graph not in spanning_trees:
             spanning_trees[graph] = _solve_reduced(graph, [0] * graph.vertex_count)[1]
         before = len(expansions)
-        failing, classes = scan(graph, base_reduced, base, k, budget, memo, previous)
+        failing, classes = scan(search, k, previous)
         from_classes = failing is None and len(expansions) > before and expansions[-1] is not None
         if classes is not None:
-            assert classes == level_classes(graph, base_reduced, base, k)
+            assert classes == level_classes(search, k)
             assert len(classes) <= spanning_trees[graph]
         # the search's memo answers exactly what a fresh one would
-        assert scan(graph, base_reduced, base, k, budget, {}, previous) == (failing, classes)
+        fresh = search_type(graph, search.values, search.budget)
+        assert scan(fresh, k, previous) == (failing, classes)
         if previous is not None:
             if from_classes:
                 decided_from_classes += 1
-            assert scan(graph, base_reduced, base, k, budget, {})[0] == failing
+            assert scan(search_type(graph, search.values, search.budget), k)[0] == failing
         return failing, classes
 
     # K4 with a path hung from v1: the path's vertices fall into v1's class,
@@ -304,20 +327,21 @@ def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
     edges += [("v1", "p1"), ("p1", "p2"), ("p2", "p3"), ("p3", "p4")]
     pendant = cf.Divisor(cf.Graph(ids, edges), (2, 2, 2, 2, 0, 0, 0, 0))
 
-    monkeypatch.setattr(rank_module, "_expand_classes", counting)
-    monkeypatch.setattr(rank_module, "_scan_level", checked)
+    monkeypatch.setattr(search_type, "expand_classes", counting)
+    monkeypatch.setattr(search_type, "scan_level", checked)
     for divisor in _banded_instances(502, 40) + [pendant]:
         cf.rank(divisor, exhaustive=True)
     assert decided_from_classes > 0
 
 
-def _reference_scan(graph, base_reduced, base, k):
-    """``(failing, classes)`` of the degree-k level, reducing the
-    base-reduced values minus each tuple from scratch with
-    ``reduce_divisor``; the class set is None past ``_scan_level``'s limit
+def _reference_scan(search, k):
+    """``(failing, classes)`` of the degree-k level of a search, reducing
+    its base-reduced values minus each tuple from scratch with
+    ``reduce_divisor``; the class set is None past ``scan_level``'s limit
     on it."""
-    values = cf.Divisor(graph, base_reduced)
-    base_id = graph.vertex_ids[base]
+    graph = search.graph
+    values = cf.Divisor(graph, search.base_reduced)
+    base_id = graph.vertex_ids[search.base]
     classes = set()
     for e in cf.iter_effective_values(k, graph.vertex_count):
         reduced, _ = cf.reduce_divisor(values - cf.Divisor(graph, e), base_id)
@@ -329,11 +353,9 @@ def _reference_scan(graph, base_reduced, base, k):
 
 
 def _scan_cases(seed, count, max_candidates=1500):
-    """``(hat, base_reduced, base, top)``: seeded weighted or looped
-    instances of non-negative degree on their hat graphs, with ``top`` one
-    above the rank and at most ``max_candidates`` candidates at that
-    level."""
-    rank_module = importlib.import_module("chipfire.rank")
+    """``(hat, values, top)``: seeded weighted or looped instances of
+    non-negative degree, lifted to their hat graphs, with ``top`` one above
+    the rank and at most ``max_candidates`` candidates at that level."""
     cases = []
     for _, graph, divisor in seeded_instances(seed, 20 * count, max_value=4):
         if divisor.degree < 0:
@@ -345,26 +367,27 @@ def _scan_cases(seed, count, max_candidates=1500):
         top = cf.rank(divisor).rank + 1
         if math.comb(top + n - 1, n - 1) > max_candidates:
             continue
-        values = cf.lift_divisor(embedding, divisor).values
-        base = rank_module._debt_base(values)
-        cases.append((hat, rank_module._reduce_indices(hat, list(values), base)[0], base, top))
+        cases.append((hat, cf.lift_divisor(embedding, divisor).values, top))
         if len(cases) == count:
             break
     return cases
 
 
 def test_scan_level_matches_a_per_tuple_reference():
-    rank_module = importlib.import_module("chipfire.rank")
-    scan = rank_module._scan_level
+    search_type = importlib.import_module("chipfire.rank")._Search
+
+    def scan(graph, values, k):
+        return search_type(graph, values, 10**6).scan_level(k)
+
     # one vertex: the hat is the graph, every step is at the base, and
     # level 4 is past the degree
     single = cf.Graph(["a"], [])
-    # (-1, 2) on two vertices joined by three edges has degree 1 and no
+    # (2, -1) on two vertices joined by three edges has degree 1 and no
     # effective representative, so level 0 fails with a non-negative degree
     banana = binary_graph(2)
-    banana_base = 1
-    banana_reduced = rank_module._reduce_indices(banana, [-1, 2], banana_base)[0]
-    assert banana_reduced[banana_base] < 0 and sum(banana_reduced) >= 0
+    banana_search = search_type(banana, (2, -1), 10**6)
+    assert banana_search.base == 1
+    assert banana_search.base_reduced[1] < 0 and sum(banana_search.base_reduced) >= 0
     # a 5-cycle with the chord a-c: from the a-reduced (1, 0, 1, 1, 0), the
     # prefix (0, 0, 2) already has no effective representative, so a class
     # turns None at coordinate 2, below n - 2, after every tuple before
@@ -380,30 +403,30 @@ def test_scan_level_matches_a_per_tuple_reference():
     # a None class through every coordinate
     assert cf.is_reduced(cf.Divisor(chord, (-1, 0, 0, 0, 1)), "a")
     cases = _scan_cases(503, 30) + [
-        (single, [3], 0, 4),
-        (banana, banana_reduced, banana_base, 2),
-        (chord, [1, 0, 1, 1, 0], 0, 2),
-        (chord, [-1, 0, 0, 0, 1], 0, 0),
+        (single, (3,), 4),
+        (banana, (2, -1), 2),
+        (chord, (1, 0, 1, 1, 0), 2),
+        (chord, (-1, 0, 0, 0, 1), 0),
     ]
     failures = 0
-    for graph, base_reduced, base, top in cases:
-        memo = {}
+    for graph, values, top in cases:
+        search = search_type(graph, values, 10**6)
         levels = list(range(top + 1))
-        if sum(base_reduced) >= top:
+        if sum(search.base_reduced) >= top:
             # one level past the degree takes the negative-degree branch
-            levels.append(sum(base_reduced) + 1)
+            levels.append(sum(search.base_reduced) + 1)
         for k in levels:
-            expected = _reference_scan(graph, base_reduced, base, k)
+            expected = _reference_scan(search, k)
             # the search's memo, shared across levels, and a fresh one
-            assert scan(graph, base_reduced, base, k, 10**6, memo) == expected
-            assert scan(graph, base_reduced, base, k, 10**6, {}) == expected
+            assert search.scan_level(k) == expected
+            assert scan(graph, values, k) == expected
             failures += expected[0] is not None
         assert expected[0] is not None
     assert failures >= len(cases)
-    assert scan(banana, banana_reduced, banana_base, 0, 10**6, {}) == ((0, 0), None)
-    assert scan(single, [3], 0, 4, 10**6, {}) == ((4,), None)
-    assert scan(chord, [1, 0, 1, 1, 0], 0, 2, 10**6, {}) == ((0, 0, 2, 0, 0), None)
-    assert scan(chord, [-1, 0, 0, 0, 1], 0, 0, 10**6, {}) == ((0,) * 5, None)
+    assert scan(banana, (2, -1), 0) == ((0, 0), None)
+    assert scan(single, (3,), 4) == ((4,), None)
+    assert scan(chord, (1, 0, 1, 1, 0), 2) == ((0, 0, 2, 0, 0), None)
+    assert scan(chord, (-1, 0, 0, 0, 1), 0) == ((0,) * 5, None)
 
 
 def test_rank_search_leaves_no_cyclic_garbage():
@@ -424,21 +447,23 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     # a class step reduces through the borrowing kernel alone, and the rest
     # through the full reduction: all three are counted where rank reaches
     # them, and the counts are pinned, so a scan that takes a class step
-    # twice, or one it does not need, changes them
+    # twice, or one it does not need, changes them; so are the searches
+    # built, one per call and one more for a Riemann-Roch dual
     rank_module = importlib.import_module("chipfire.rank")
     calls = Counter()
 
-    def counted(name):
-        function = getattr(rank_module, name)
+    def counted(owner, name, key):
+        function = getattr(owner, name)
 
         def counting(*args):
-            calls[name] += 1
+            calls[key] += 1
             return function(*args)
 
-        monkeypatch.setattr(rank_module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
 
     for name in ("_reduce_indices", "_borrow", "_child"):
-        counted(name)
+        counted(rank_module, name, name)
+    counted(rank_module._Search, "__init__", "_Search")
 
     ids = [f"g{i}_{j}" for i in range(3) for j in range(4)]
     edges = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(2) for j in range(4)]
@@ -453,8 +478,11 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
         counts.append(dict(calls))
     # 18,475 reductions when every candidate was reduced from scratch; the
     # same counts again show that nothing carried over from the first search
-    assert counts[0] == {"_reduce_indices": 2, "_child": 27175, "_borrow": 6765}
+    assert counts[0] == {"_Search": 1, "_reduce_indices": 2, "_child": 27175, "_borrow": 6765}
     assert counts[1] == counts[0]
+    calls.clear()
+    assert cf.rank_geq(all_ones, 7) == (False, result.witness)
+    assert calls["_Search"] == 1
 
     # genus 6 with a weight and a loop: K - D ranks first, on the hat graph,
     # and D's search starts one level above the rank that gives
@@ -466,7 +494,7 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     result = cf.rank(cf.Divisor(weighted, (2, 2, 1, 1)))
     assert (result.rank, result.method) == (2, "riemann-roch")
     assert result.witness.nonzero_items() == (("a.z1", 1), ("a.z2", 1), ("b.z1", 1))
-    assert calls == {"_reduce_indices": 3, "_child": 25, "_borrow": 16}
+    assert calls == {"_Search": 2, "_reduce_indices": 3, "_child": 25, "_borrow": 16}
 
 
 def test_class_step_by_borrowing_alone_is_the_reduction(monkeypatch):
@@ -482,10 +510,10 @@ def test_class_step_by_borrowing_alone_is_the_reduction(monkeypatch):
         return child(graph, base, memo, c, v)
 
     monkeypatch.setattr(rank_module, "_child", recording)
-    for hat, base_reduced, base, top in _scan_cases(1303, 30):
-        memo, classes = {}, None
+    for hat, values, top in _scan_cases(1303, 30):
+        search, classes = rank_module._Search(hat, values, 10**6), None
         for k in range(top + 1):
-            _, classes = rank_module._scan_level(hat, base_reduced, base, k, 10**6, memo, classes)
+            _, classes = search.scan_level(k, classes)
     negative = 0
     for graph, base, c, v in steps:
         base_id = graph.vertex_ids[base]
@@ -700,6 +728,12 @@ def test_rank_input_checks(call, message):
     with pytest.raises(cf.DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args", [(2, 1.5, 2), (2, 1, 2.0), (1.0, 0, 2)])
+def test_binary_rank_rejects_non_integers(args):
+    with pytest.raises(TypeError):
+        cf.binary_rank(*args)
 
 
 def test_clifford_holds_vacuously_at_rank_minus_one():
