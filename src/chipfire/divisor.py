@@ -14,7 +14,8 @@ own firing levels, verified against the Laplacian, are its script.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from collections.abc import Mapping
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, InternalError
 from .graph import Graph, HatEmbedding

@@ -4,7 +4,7 @@ Vertices keep their declaration order, and every matrix, enumeration, and
 witness produced by this package is expressed in that order, so all outputs
 are deterministic.  Graphs are immutable after construction and safe to
 share between threads; derived graphs (hat, loop-stripped, loop-subdivided,
-edge-augmented) are new values.
+edge-augmented) are new values, and a graph keeps its hat once built.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ class Graph:
         "_loopless_genus",
         "_connected",
         "_hash",
+        "_hat",
     )
 
     def __init__(self, vertices: Iterable[VertexSpec], edges: Iterable[EdgeSpec] = ()):
@@ -109,6 +110,8 @@ class Graph:
         self._degrees = tuple([sum(map(_second, row)) for row in adj_items])  # loops excluded
         self._connected: bool | None = None
         self._hash: int | None = None
+        # hat_graph's (target, added) once built; always None on a graph that is its own hat
+        self._hat: tuple[Graph, dict[str, tuple[str, ...]]] | None = None
         # non-loop edges - n + 1: on a connected graph, the most chips a
         # base-reduced divisor holds off the base
         self._loopless_genus = sum(self._degrees) // 2 - len(ids) + 1
@@ -347,12 +350,16 @@ def _hang_fresh(
 def hat_graph(graph: Graph) -> HatEmbedding:
     """Eliminate weights and loops without changing the genus.
 
-    Weightless loopless graphs come back unchanged (same object).
+    Weightless loopless graphs come back unchanged (same object); any other
+    graph builds its hat once and keeps the target and fresh-vertex map,
+    which do not refer back to it.  Each call returns its own ``added``.
     """
-    genera = [w + loops for w, loops in zip(graph._weights, graph._loops)]
-    if not any(genera):
-        return HatEmbedding(graph, graph, dict.fromkeys(graph._ids, ()))
-    return HatEmbedding(graph, *_hang_fresh(graph, [0] * graph.vertex_count, genera))
+    if graph._hat is None:
+        genera = [w + loops for w, loops in zip(graph._weights, graph._loops)]
+        if not any(genera):
+            return HatEmbedding(graph, graph, dict.fromkeys(graph._ids, ()))
+        graph._hat = _hang_fresh(graph, [0] * graph.vertex_count, genera)
+    return HatEmbedding(graph, graph._hat[0], dict(graph._hat[1]))
 
 
 def strip_weights_and_loops(graph: Graph) -> Graph:

@@ -34,18 +34,18 @@ than enumerating its tuples.  Otherwise, and always at the failing level
 (so that the witness is the lexicographically smallest failing tuple), the
 tuples are enumerated, under a budget on each level's candidate count.
 
-One search is one ``_Search``: the graph, the values, their base and
-base-reduced representative (computed once, when it is built), the
-budget, and a memo of class steps.  ``rank`` and ``rank_geq`` each build
-one, and the Riemann-Roch route one more for the dual.  Its level scan
-walks the level's prefix tree in lex order (``_Search._walk``), one class
-step c - v per node (``_child``): only a step at an empty vertex off the
-base needs work, and the borrowing of the reduction settles it with no
-burn.  The witness is still certified by the full reduction.  The memo
-keeps the steps' answers for the search's levels and its class
+One search is one ``_Search``: the hat graph (which ``hat_graph`` builds
+once per source graph), the values, their base and base-reduced
+representative (computed once), the budget, and a memo of class steps.
+``rank`` and ``rank_geq`` each build one, and the Riemann-Roch route one
+more for the dual.  Its level scan walks the level's prefix tree in lex
+order (``_Search._walk``), one class step c - v per node (``_child``):
+only a step at an empty vertex off the base needs work, and borrowing
+settles it with no burn.  The witness is certified by the full
+reduction, which for the zero witness is the search's first one.  The
+memo keeps the steps' answers for the search's levels and class
 expansion, and goes with the search: no step is settled twice in one
-search, and no search is answered from another, so a check that ranks
-two representatives of one class still runs two searches.
+search and none from another, so two representatives take two searches.
 """
 
 from __future__ import annotations
@@ -259,6 +259,8 @@ class _Search:
         start = tuple(base_reduced) if base_reduced[base] >= 0 else None
         if n == 1:
             # the one candidate (k,) passes: its class has degree >= 0
+            if previous is not None:  # one step below the previous level's one class
+                return None, {_child(self.graph, base, self.memo, *previous, 0)}
             for _ in range(k):
                 start = _child(self.graph, base, self.memo, start, 0)
             return None, {start}
@@ -314,9 +316,12 @@ class _Search:
 
     def certify(self, failing: tuple[int, ...]) -> Divisor:
         """The failing tuple as a divisor, after re-running its check from
-        the values rather than their base-reduced representative."""
-        check = [a - b for a, b in zip(self.values, failing)]
-        reduced, _ = _reduce_indices(self.graph, check, self.base)
+        the values rather than their base-reduced representative, which is
+        the zero tuple's check, run once already when the search was built."""
+        reduced = self.base_reduced
+        if any(failing):
+            check = [a - b for a, b in zip(self.values, failing)]
+            reduced, _ = _reduce_indices(self.graph, check, self.base)
         if reduced[self.base] >= 0:
             raise InternalError("witness failed its certification re-run")
         return Divisor(self.graph, failing)
@@ -339,7 +344,7 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     """
     graph = divisor.graph
     graph.require_connected("rank")
-    hat = hat_graph(graph).target
+    hat = graph._hat[0] if graph._hat else hat_graph(graph).target
 
     start = None
     if exhaustive:

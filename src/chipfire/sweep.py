@@ -31,7 +31,6 @@ from .divisor import (
     Divisor,
     FiringScript,
     apply_script,
-    lift_divisor,
     rank_for_degree,
     rank_lower_bound,
 )
@@ -45,7 +44,7 @@ from .oracle import (
     brute_rank,
 )
 from .rank import METHOD_EXHAUSTIVE, _level_count, rank
-from .reduction import is_reduced, reduce_divisor
+from .reduction import _reduce_indices, is_reduced, reduce_divisor
 from .textio import render_divisor, render_graph
 
 CHECK_NAMES = (
@@ -267,10 +266,10 @@ class _Sweep:
             if degree >= 2 * genus - 1 and value != degree - genus else None,
         )
 
-        embedding = hat_graph(graph)
-        lifted = lift_divisor(embedding, divisor)
+        hat = hat_graph(graph).target
+        lifted = divisor.values + (0,) * (hat.vertex_count - n)  # zero on fresh vertices
         zero_base = any(
-            reduce_divisor(lifted, u)[0][u] == 0 for u in embedding.target.vertex_ids
+            _reduce_indices(hat, list(lifted), u)[0][u] == 0 for u in range(hat.vertex_count)
         )
         check(
             "rank-zero-characterization",

@@ -1,3 +1,5 @@
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,14 @@ def test_divisor_from_mapping_defaults_to_zero(dhar5):
     d = cf.Divisor(g, {"v1": 1, "v3": 4})
     assert d.values == (0, 1, 0, 4, 0)
     assert d.degree == 5
+
+
+def test_divisor_values_from_any_mapping_or_iterable(dhar5):
+    # any collections.abc.Mapping is read by vertex id, and any other
+    # iterable, a generator too, as values in declaration order
+    g = dhar5.graph
+    assert cf.Divisor(g, types.MappingProxyType({"v1": 1, "v3": 4})).values == (0, 1, 0, 4, 0)
+    assert cf.Divisor(g, (i for i in range(5))).values == (0, 1, 2, 3, 4)
 
 
 def test_divisor_arithmetic(dhar5):

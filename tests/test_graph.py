@@ -282,6 +282,29 @@ def test_hat_after_bullet_keeps_ids_unique():
     assert emb.target.genus() == g.genus()
 
 
+def test_hat_is_built_once_per_graph():
+    g = cf.Graph([("v", 2), "w"], [("v", "w"), ("w", "w")])
+    first, second = cf.hat_graph(g), cf.hat_graph(g)
+    assert second.target is first.target
+    # each call has its own fresh-vertex map: mutating one leaves the next intact
+    first.added["v"] = ()
+    del first.added["w"]
+    assert cf.hat_graph(g).added == second.added == {"v": ("v.z1", "v.z2"), "w": ("w.z1",)}
+    # the kept hat is no part of the graph's value
+    fresh = cf.Graph([("v", 2), "w"], [("v", "w"), ("w", "w")])
+    assert fresh._hat is None and g._hat is not None
+    assert g == fresh and hash(g) == hash(fresh)
+    assert cf.hat_graph(fresh).target == first.target
+
+
+def test_hat_keeps_nothing_for_a_plain_graph():
+    g = binary_graph(3)
+    for _ in range(2):
+        assert cf.hat_graph(g).target is g
+        cf.rank(cf.Divisor(g, (1, 1)))
+    assert g._hat is None
+
+
 # -- loop stripping and subdivision ------------------------------------------
 
 

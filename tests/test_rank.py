@@ -43,6 +43,38 @@ def test_rank_geq_certifies_its_witness(dhar5, monkeypatch):
         cf.rank_geq(d, 3)
 
 
+def test_rank_geq_certifies_a_zero_witness(dhar5, monkeypatch):
+    # the zero tuple's check reads the search's own base-reduced values, yet
+    # still rejects a scan that fails level 0 of a class that is effective
+    d = dhar5.divisors["example"] - cf.fire_set(dhar5.graph, ["v0"])
+    assert not d.is_effective and cf.rank(d).rank >= 0
+    search = importlib.import_module("chipfire.rank")._Search
+    zero = (0,) * dhar5.graph.vertex_count
+    monkeypatch.setattr(search, "scan_level", lambda self, k, previous=None: (zero, None))
+    with pytest.raises(cf.InternalError, match="^witness failed its certification re-run$"):
+        cf.rank_geq(d, 0)
+
+
+def test_rank_minus_one_reduces_once(dhar5, monkeypatch):
+    # a rank -1 witness is the zero divisor, whose check is the search's own
+    # reduction, so it is not reduced a second time
+    rank_module = importlib.import_module("chipfire.rank")
+    reduce_indices = rank_module._reduce_indices
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return reduce_indices(*args)
+
+    monkeypatch.setattr(rank_module, "_reduce_indices", counting)
+    negative = cf.Divisor(dhar5.graph, {"v0": -1})
+    for exhaustive in (False, True):
+        calls.clear()
+        result = cf.rank(negative, exhaustive=exhaustive)
+        assert (result.rank, result.witness.values) == (-1, (0,) * 5)
+        assert len(calls) == 1
+
+
 def test_rank_geq_agrees_with_rank():
     # rank_geq scans one level with a search of its own; rank searches level
     # by level from 0, so the two share no class set and no memo
@@ -162,6 +194,31 @@ def test_rank_heavy_single_vertex_is_fast():
     with pytest.raises(cf.BudgetError, match="degree-10 enumeration needs 30045015 candidates"):
         cf.rank(cf.Divisor(cf.load_fixture("rose(20)").graph, (19,)))
     assert time.perf_counter() - start < 0.1
+
+
+def test_exhaustive_rank_on_one_vertex_steps_once_per_level(monkeypatch):
+    # each level's one class is one step below the previous level's, so the
+    # search takes N steps in all, not the N(N+1)/2 of stepping down from
+    # the values at every level
+    rank_module = importlib.import_module("chipfire.rank")
+    child = rank_module._child
+    steps = []
+
+    def counting(*args):
+        steps.append(args[4])
+        return child(*args)
+
+    monkeypatch.setattr(rank_module, "_child", counting)
+    n = 4000
+    d = cf.Divisor(cf.Graph(["a"]), (n,))
+    start = time.perf_counter()
+    exact = cf.rank(d, exhaustive=True)
+    assert time.perf_counter() - start < 1.0
+    assert len(steps) == n
+    fast = cf.rank(d)
+    assert fast.method == "rank-explicit"
+    assert (exact.rank, exact.witness) == (fast.rank, fast.witness)
+    assert (exact.rank, exact.witness.values) == (n, (n + 1,))
 
 
 def test_rank_negative_class(dhar5):
@@ -438,6 +495,42 @@ def test_rank_search_leaves_no_cyclic_garbage():
     try:
         for divisor in divisors:
             cf.rank(divisor, exhaustive=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _rank_and_drop_a_weighted_graph():
+    graph = cf.Graph([("a", 2), "b", "c"], [("a", "b", 2), ("b", "c"), ("c", "c")])
+    divisor = cf.Divisor(graph, (1, 0, 2))
+    cf.rank(divisor)
+    cf.rank(divisor, exhaustive=True)
+    assert graph._hat is not None
+
+
+def test_cached_hat_leaves_no_cyclic_garbage(monkeypatch):
+    # the kept hat refers to nothing of its source graph, so a graph built,
+    # ranked and dropped, or the graphs of a sweep, are freed by reference
+    # counting alone; the test above keeps its graphs alive and would not
+    # see a cycle through the kept hat
+    graph_module = importlib.import_module("chipfire.graph")
+    hang_fresh = graph_module._hang_fresh
+    builds = Counter()
+
+    def counting(*args):
+        builds["_hang_fresh"] += 1
+        return hang_fresh(*args)
+
+    monkeypatch.setattr(graph_module, "_hang_fresh", counting)
+    gc.collect()
+    gc.disable()
+    try:
+        _rank_and_drop_a_weighted_graph()
+        assert builds["_hang_fresh"] == 1
+        assert gc.collect() == 0
+        builds.clear()
+        assert cf.run_sweep(cf.SweepConfig(trials=3, seed=5)).ok
+        assert builds["_hang_fresh"] > 0  # a weighted or looped graph was hatted
         assert gc.collect() == 0
     finally:
         gc.enable()
