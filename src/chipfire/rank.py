@@ -10,22 +10,24 @@ a class contains an effective divisor exactly when its base-reduced
 representative is non-negative at the base, whatever the base; debt is
 cheapest to clear at its own vertex, so ``_debt_base`` picks the base.
 
-Fast paths pick a starting level; one loop searches and certifies.  Level
-k holds the classes of D - e for the effective e of degree k, and the rank
-is one less than the first level with a class that has no effective
-representative.  Three exact fast paths know the rank r and start at level
-r + 1, which must fail: rank -1 when the base-reduced representative is
-negative at the base, the minimal rank capacity for an effective divisor
-reduced at a vertex attaining it (which settles every divisor on a single
-vertex: it is reduced there, so its rank is the degree formula), and
-Riemann-Roch when K - D has the smaller degree.  The last ranks the
-dual K - D on the hat graph (canonical value deg(v) - 2, minus the lifted
-values) through the same routine and starts D's search at
-r(K - D) + deg D - g + 2 (Baker-Norine; for weighted and looped graphs
-through the hat graph, Amini-Caporaso).  Above degree 2g - 2 the dual has
-negative degree and is settled by its own reduction; the dual never
-takes this route itself, because its degree is the smaller one.  The
-exhaustive search starts at level 0.  The class of
+Bounds, then search.  Level k holds the classes of D - e for the
+effective e of degree k, and the rank is one less than the first level
+with a class that has no effective representative.  ``rank`` alone picks
+the method and the level to start at; ``_Search.first_failing`` is the one
+loop that searches up from it.  The exhaustive search starts at level 0.
+Three exact fast paths know the rank r and start at level r + 1, which
+must fail: ``reduced-negative`` is level 0 when the base-reduced values
+are negative at the base (the exhaustive search's own first level, named
+for its cause); ``rank-explicit`` starts at the minimal rank capacity plus
+one, for an effective divisor reduced at a vertex attaining it (which
+settles every divisor on a single vertex: it is reduced there, so its rank
+is the degree formula); and ``riemann-roch``, when K - D has the smaller
+degree (deg D >= g), ranks the dual K - D on the hat graph (canonical
+value deg(v) - 2, minus the lifted values) by the same loop from level 0
+and starts at r(K - D) + deg D - g + 2 (Baker-Norine; for weighted and
+looped graphs through the hat graph, Amini-Caporaso).  Above degree
+2g - 2 the dual has negative degree, so its search fails level 0 on the
+reduction it was built with and takes no class step.  The class of
 D - e - v depends only on the class of D - e, so level k + 1 is the set of
 reductions of c - v over the classes c of level k and the vertices v, and
 no level has more classes than the graph has spanning trees.  A level is
@@ -181,31 +183,18 @@ class _Search:
         self.budget = budget
         self.memo: _Memo = {}
 
-    def first_failing(
-        self, start: Optional[tuple[str, int]] = None
-    ) -> tuple[str, int, tuple[int, ...]]:
-        """``(method, rank, failing)``: ``failing`` is the lex-first tuple of
-        the first failing level, not yet certified.
+    def first_failing(self, method: str, k: int) -> tuple[int, tuple[int, ...]]:
+        """``(rank, failing)``, searching up from level ``k``: ``failing`` is
+        the lex-first tuple of the first failing level, not yet certified.
 
-        ``start`` is the method and starting level the caller chose: the
-        exhaustive search at level 0 or a fast path it found.  Without one,
-        the reduced-negative and Riemann-Roch routes are tried here.
+        ``rank`` chose ``method`` and ``k``; only the exhaustive search may
+        pass a level, as a fast path starts at the level that must fail.
         """
-        method, k = start or (METHOD_EXHAUSTIVE, 0)
-        if start is None:
-            degree, genus = sum(self.values), self.graph.genus()
-            if self.base_reduced[self.base] < 0:
-                method = METHOD_REDUCED_NEGATIVE
-            elif 2 * genus - 2 - degree < degree:
-                dual = tuple(d - 2 - x for d, x in zip(self.graph._degrees, self.values))
-                dual_rank = _Search(self.graph, dual, self.budget).first_failing()[1]
-                method, k = METHOD_RIEMANN_ROCH, dual_rank + degree - genus + 2
-
         classes = None
         while True:
             failing, classes = self.scan_level(k, classes)
             if failing is not None:
-                return method, k - 1, failing
+                return k - 1, failing
             if method != METHOD_EXHAUSTIVE:
                 raise InternalError("no failing divisor found one degree above the computed rank")
             k += 1
@@ -256,14 +245,11 @@ class _Search:
             children = self.expand_classes(previous)
             if children is not None:
                 return None, children
-        start = tuple(base_reduced) if base_reduced[base] >= 0 else None
         if n == 1:
-            # the one candidate (k,) passes: its class has degree >= 0
-            if previous is not None:  # one step below the previous level's one class
-                return None, {_child(self.graph, base, self.memo, *previous, 0)}
-            for _ in range(k):
-                start = _child(self.graph, base, self.memo, start, 0)
-            return None, {start}
+            # the one candidate (k,) passes: its class, the values minus k, has
+            # degree >= 0, and nothing on one vertex fires
+            return None, {(base_reduced[0] - k,)}
+        start = tuple(base_reduced) if base_reduced[base] >= 0 else None
         # past this many classes, expanding them costs more than enumerating
         # the next level
         limit = _level_count(k + 1, n) // n
@@ -330,36 +316,42 @@ class _Search:
 def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = False) -> RankResult:
     """The combinatorial rank of a divisor on any connected graph.
 
-    Unless ``exhaustive``, a fast path may fix the rank and start the
-    search at the level above it: ``reduced-negative``, ``rank-explicit``
-    (which answers every divisor on a single vertex), or ``riemann-roch``
-    when deg(K - D) < deg D, which ranks K - D on the hat graph first.
-    With ``exhaustive=True`` every fast path is skipped and the definition
-    is evaluated directly on the hat graph, level by level: a level is
-    decided from the previous level's classes when that is cheaper than
-    enumerating its candidates, and the failing level is always enumerated
-    in lex order.  The value and witness are identical either way.  Raises
-    BudgetError when some required level has more than ``budget``
-    candidates, however it is decided.
+    Bounds, then search: the method and the start level are chosen here,
+    in this order, and one loop searches up from that level.  With
+    ``exhaustive=True`` the search starts at level 0 and evaluates the
+    definition directly on the hat graph.  Otherwise ``reduced-negative``
+    (rank -1) when the class has no effective representative,
+    ``rank-explicit`` (which answers every divisor on a single vertex) at
+    the minimal rank capacity plus one, ``riemann-roch`` when deg(K - D) <
+    deg D, which ranks K - D on the hat graph first, and else the
+    exhaustive search.  A level is decided from the previous level's
+    classes when that is cheaper than enumerating its candidates, and the
+    failing level is always enumerated in lex order, so the value and
+    witness are identical either way.  Raises BudgetError when some
+    required level has more than ``budget`` candidates, however it is
+    decided.
     """
     graph = divisor.graph
     graph.require_connected("rank")
     hat = graph._hat[0] if graph._hat else hat_graph(graph).target
-
-    start = None
-    if exhaustive:
-        start = METHOD_EXHAUSTIVE, 0
-    # an effective divisor's class is never reduced-negative, so this test
-    # may precede that one
-    elif divisor.is_effective:
-        capacity = rank_capacity(divisor).values
-        explicit = next(_explicit_indices(divisor, capacity), None)
-        if explicit is not None:
-            start = METHOD_RANK_EXPLICIT, capacity[explicit] + 1
-
     lifted = divisor.values + (0,) * (hat.vertex_count - graph.vertex_count)  # zero on fresh ones
     search = _Search(hat, lifted, budget)
-    method, value, failing = search.first_failing(start)
+    excess = divisor.degree - hat.genus()  # deg(K - D) < deg D exactly when this is >= 0
+    if exhaustive:
+        method, k = METHOD_EXHAUSTIVE, 0
+    elif search.base_reduced[search.base] < 0:
+        method, k = METHOD_REDUCED_NEGATIVE, 0
+    elif divisor.is_effective and (
+        next(_explicit_indices(divisor, capacity := rank_capacity(divisor).values), None) is not None
+    ):
+        method, k = METHOD_RANK_EXPLICIT, min(capacity) + 1
+    elif excess >= 0:
+        dual = tuple(d - 2 - x for d, x in zip(hat._degrees, lifted))
+        dual_rank, _ = _Search(hat, dual, budget).first_failing(METHOD_EXHAUSTIVE, 0)
+        method, k = METHOD_RIEMANN_ROCH, dual_rank + excess + 2
+    else:
+        method, k = METHOD_EXHAUSTIVE, 0
+    value, failing = search.first_failing(method, k)
     return RankResult(value, search.certify(failing), method)
 
 

@@ -24,6 +24,7 @@ of the report.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -76,8 +77,9 @@ class SweepConfig:
 
     def __post_init__(self):
         lows = {"trials": 0, "max_vertices": 1, "max_edges": 0, "max_weight": 0, "max_value": 0}
+        operator.index(self.cost_cap)  # a TypeError for a non-integer count, as in Graph
         for name, low in lows.items():
-            value = getattr(self, name)
+            value = operator.index(getattr(self, name))
             if value < low:
                 raise DomainError(f"sweep needs {name} >= {low}, got {value}")
         if self.max_edges < self.max_vertices - 1:  # every instance has a spanning tree

@@ -552,6 +552,22 @@ def test_sweep_config_rejects_out_of_range_fields():
     cf.SweepConfig(trials=0, max_vertices=1, max_edges=0, max_weight=0, max_value=0)
 
 
+def test_sweep_config_rejects_non_integer_counts():
+    # a float count would otherwise fail later in range or randrange, or be
+    # taken as it is (cost_cap); the seed goes to random.Random unchecked
+    for field, value in (
+        ("trials", 2.0),
+        ("max_vertices", 3.0),
+        ("max_edges", 12.0),
+        ("max_weight", 2.0),
+        ("max_value", 4.0),
+        ("cost_cap", 6000.5),
+    ):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            cf.SweepConfig(**{field: value})
+    cf.SweepConfig(seed=2.5)
+
+
 def test_cli_sweep_bad_options_exit_one(capsys):
     for option, value in (
         ("--vertices", "0"),

@@ -197,9 +197,9 @@ def test_rank_heavy_single_vertex_is_fast():
 
 
 def test_exhaustive_rank_on_one_vertex_steps_once_per_level(monkeypatch):
-    # each level's one class is one step below the previous level's, so the
-    # search takes N steps in all, not the N(N+1)/2 of stepping down from
-    # the values at every level
+    # nothing on one vertex fires, so each level's one class is the values
+    # minus the level and the search takes no class step at all, not the
+    # N(N+1)/2 of stepping down from the values at every level
     rank_module = importlib.import_module("chipfire.rank")
     child = rank_module._child
     steps = []
@@ -214,7 +214,7 @@ def test_exhaustive_rank_on_one_vertex_steps_once_per_level(monkeypatch):
     start = time.perf_counter()
     exact = cf.rank(d, exhaustive=True)
     assert time.perf_counter() - start < 1.0
-    assert len(steps) == n
+    assert steps == []
     fast = cf.rank(d)
     assert fast.method == "rank-explicit"
     assert (exact.rank, exact.witness) == (fast.rank, fast.witness)
@@ -588,6 +588,36 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     assert (result.rank, result.method) == (2, "riemann-roch")
     assert result.witness.nonzero_items() == (("a.z1", 1), ("a.z2", 1), ("b.z1", 1))
     assert calls == {"_Search": 2, "_reduce_indices": 3, "_child": 25, "_borrow": 16}
+
+    # above degree 2g - 2, K - D has negative degree, so its search fails
+    # level 0 on the reduction it was built with and takes no class step
+    first_failing = rank_module._Search.first_failing
+    steps_at_return = []
+
+    def recording(self, method, k):
+        found = first_failing(self, method, k)
+        steps_at_return.append(calls["_child"])
+        return found
+
+    monkeypatch.setattr(rank_module._Search, "first_failing", recording)
+    calls.clear()
+    result = cf.rank(cf.Divisor(weighted, (6, 5, 2, -1)))  # degree 12, not effective
+    assert (result.rank, result.method) == (6, "riemann-roch")
+    assert result.witness.nonzero_items() == (("a.z1", 1), ("a.z2", 3), ("b.z1", 3))
+    assert calls == {"_Search": 2, "_reduce_indices": 3, "_child": 57, "_borrow": 29}
+    assert steps_at_return == [0, 57]  # the dual's search, then D's from level 7
+
+    # a class with no effective representative fails level 0 on the search's
+    # own reduction, whether or not rank calls it reduced-negative
+    counts = []
+    for exhaustive in (False, True):
+        calls.clear()
+        result = cf.rank(cf.Divisor(weighted, (3, -2, 0, 0)), exhaustive=exhaustive)
+        counts.append((result.rank, result.method, dict(calls)))
+    assert counts == [
+        (-1, "reduced-negative", {"_Search": 1, "_reduce_indices": 1}),
+        (-1, "exhaustive", {"_Search": 1, "_reduce_indices": 1}),
+    ]
 
 
 def test_class_step_by_borrowing_alone_is_the_reduction(monkeypatch):
