@@ -31,15 +31,14 @@ from .textio import parse_divisor, parse_graph, render_divisor, render_graph
 
 def _load_graph(path: str) -> Graph:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ChipfireError(f"cannot read graph file {path!r}: {exc}") from exc
     return parse_graph(text).graph
 
 
 def _ordered(graph: Graph, members: Iterable[str]) -> list[str]:
-    chosen = set(members)
-    return [v for v in graph.vertex_ids if v in chosen]
+    return sorted(set(members), key=graph.index)
 
 
 def _set_text(graph: Graph, members: Iterable[str]) -> str:

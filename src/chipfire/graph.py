@@ -78,7 +78,10 @@ class Graph:
         loops = [0] * len(ids)
         adj: list[dict[int, int]] = [dict() for _ in ids]
         for spec in edges:
-            spec = tuple(spec)
+            if type(spec) is not tuple:  # a tuple, the usual spec, skips both tests
+                if isinstance(spec, str):  # its characters are not an edge: "ab" is not ("a", "b")
+                    raise GraphError(f"bad edge spec {spec!r}; expected (a, b) or (a, b, mult)")
+                spec = tuple(spec)
             if len(spec) == 2:
                 (a, b), mult = spec, 1
             elif len(spec) == 3:

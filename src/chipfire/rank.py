@@ -41,9 +41,10 @@ once per source graph), the values, their base and base-reduced
 representative (computed once), the budget, and a memo of class steps.
 ``rank`` and ``rank_geq`` each build one, and the Riemann-Roch route one
 more for the dual.  Its level scan walks the level's prefix tree in lex
-order (``_Search._walk``), one class step c - v per node (``_child``):
-only a step at an empty vertex off the base needs work, and borrowing
-settles it with no burn.  The witness is certified by the full
+order (``_Search._walk``) with one loop body for every vertex, one class
+step c - v (``_child``) per chip put on v; the last vertex takes the
+chips left.  Only a step at an empty vertex off the base needs work, and
+borrowing settles it with no burn.  The witness is certified by the full
 reduction, which for the zero witness is the search's first one.  The
 memo keeps the steps' answers for the search's levels and class
 expansion, and goes with the search: no step is settled twice in one
@@ -179,7 +180,7 @@ class _Search:
         self.graph = graph
         self.values = values
         self.base = _debt_base(values)
-        self.base_reduced, _ = _reduce_indices(graph, list(values), self.base)
+        self.base_reduced = tuple(_reduce_indices(graph, list(values), self.base)[0])
         self.budget = budget
         self.memo: _Memo = {}
 
@@ -249,7 +250,7 @@ class _Search:
             # the one candidate (k,) passes: its class, the values minus k, has
             # degree >= 0, and nothing on one vertex fires
             return None, {(base_reduced[0] - k,)}
-        start = tuple(base_reduced) if base_reduced[base] >= 0 else None
+        start = base_reduced if base_reduced[base] >= 0 else None
         # past this many classes, expanding them costs more than enumerating
         # the next level
         limit = _level_count(k + 1, n) // n
@@ -265,18 +266,17 @@ class _Search:
         """The first failing tuple with the prefix ``e[:t]``, or None.
 
         ``c`` is the class of the values minus that prefix (None when it
-        has no effective representative) and ``m`` the chips left.  The
-        walk tries ``e[t] = 0..m`` and takes one ``_child`` step at t between
-        two tries; its innermost level splits the chips between the last
-        two vertices and takes ``e[n-1]`` steps at the last one for each
-        tuple's class, which it adds to ``classes`` until they number more
-        than ``limit``.  A prefix class that is None fails every extension:
-        it is carried down to the subtree's first tuple, which is the
-        lex-first failing tuple, so no step is taken from a None class.
+        has no effective representative) and ``m`` the chips left.  Before
+        the last vertex the walk tries ``e[t] = 0..m``, taking one
+        ``_child`` step at t between two tries; the last vertex takes all
+        ``m`` chips, one step each, and the tuple's class joins ``classes``
+        until they number more than ``limit``.  A prefix class that is None
+        fails every extension: it is carried down to the subtree's first
+        tuple, which is the lex-first failing tuple, so no step is taken
+        from a None class.
         """
         graph, base, memo = self.graph, self.base, self.memo
-        last = len(e) - 1
-        if t < last - 1:
+        if t < len(e) - 1:
             for a in range(m + 1):
                 if a:
                     c = _child(graph, base, memo, c, t)
@@ -285,19 +285,15 @@ class _Search:
                 if failing is not None:
                     return failing
             return None
-        for a in range(m + 1):
-            if a:
-                c = _child(graph, base, memo, c, t)
-            leaf = c
-            for _ in range(m - a):
-                if leaf is None:
-                    break
-                leaf = _child(graph, base, memo, leaf, last)
-            if leaf is None:
-                e[t], e[last] = a, m - a
-                return tuple(e)
-            if len(classes) <= limit:
-                classes.add(leaf)
+        for _ in range(m):
+            if c is None:
+                break
+            c = _child(graph, base, memo, c, t)
+        if c is None:
+            e[t] = m
+            return tuple(e)
+        if len(classes) <= limit:
+            classes.add(c)
         return None
 
     def certify(self, failing: tuple[int, ...]) -> Divisor:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,22 @@ def test_cli_dhar(dhar5_file, capsys):
     assert "reduced: no" in out
 
 
+def test_cli_dhar_output_time_is_linear_in_the_layer_count(tmp_path, capsys):
+    # a path burned from one end burns one vertex per layer; ordering each
+    # layer by a scan of every vertex id took about 3 s at 8,000 vertices
+    n = 8000
+    path = tmp_path / "path.graph"
+    vertices = "".join(f"v v{i}\n" for i in range(n))
+    path.write_text(vertices + "".join(f"e v{i} v{i + 1}\n" for i in range(n - 1)))
+    start = time.perf_counter()
+    assert main(["dhar", str(path), "-d", "", "-u", "v0"]) == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert "layers: " + " ".join(f"{{v{i}}}" for i in range(n)) in out
+    assert "unburned: {}" in out
+    assert elapsed < 1.0
+
+
 def test_cli_reduce(dhar5_file, capsys):
     assert main(["reduce", dhar5_file, "-d", "v1=1,v2=2,v3=4,v4=4", "-u", "v0"]) == 0
     out = capsys.readouterr().out
@@ -497,6 +514,14 @@ def test_cli_graph_file_not_utf8_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read graph file {str(path)!r}: ")
+
+
+def test_cli_graph_file_with_utf8_bom(tmp_path, capsys):
+    # Windows Notepad starts a UTF-8 file with a byte order mark
+    path = tmp_path / "bom.graph"
+    path.write_bytes(b"\xef\xbb\xbf" + DHAR5_TEXT.encode("utf-8"))
+    assert main(["genus", str(path)]) == 0
+    assert capsys.readouterr().out == "genus = 10\n"
 
 
 def test_cli_usage_errors_exit_two(dhar5_file, capsys):
