@@ -531,14 +531,14 @@ def test_hat_target_is_plain_with_degree_two_midpoints(g):
         ([(3, 0)], [], "vertex id must be a non-empty string, got 3"),
         (["a"], [("a",)], "bad edge spec ('a',); expected (a, b) or (a, b, mult)"),
         (["a", "b"], [("a", "b", 1, 1)], "bad edge spec ('a', 'b', 1, 1); expected (a, b) or (a, b, mult)"),
-        # a string is never split into its characters, whatever its length
-        (["a", "b"], ["ab"], "bad edge spec 'ab'; expected (a, b) or (a, b, mult)"),
-        (["a", "b", "c"], ["abc"], "bad edge spec 'abc'; expected (a, b) or (a, b, mult)"),
         # an undeclared endpoint in either position; a is reported before b
         (["a", "b"], [("a", "x")], "edge endpoint 'x' is not a declared vertex"),
         (["a", "b"], [("x", "b")], "edge endpoint 'x' is not a declared vertex"),
         (["a", "b"], [("x", "y")], "edge endpoint 'x' is not a declared vertex"),
         (["a", "b"], [("x", "y", 0)], "edge endpoint 'x' is not a declared vertex"),
+        # a string is never split into its characters, whatever its length
+        (["a", "b"], ["ab"], "bad edge spec 'ab'; expected (a, b) or (a, b, mult)"),
+        (["a", "b", "c"], ["abc"], "bad edge spec 'abc'; expected (a, b) or (a, b, mult)"),
     ],
 )
 def test_graph_input_checks(vertices, edges, message):
