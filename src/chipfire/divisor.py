@@ -254,13 +254,16 @@ def rank_for_degree(degree: int, genus: int) -> int:
     return max(degree - genus, degree // 2)
 
 
+def _pointwise_values(graph: Graph, values: Sequence[int], scalar_map) -> tuple[int, ...]:
+    """``_pointwise`` on values known to be non-negative, as a tuple."""
+    return tuple(map(scalar_map, values, map(operator.add, graph._weights, graph._loops)))
+
+
 def _pointwise(divisor: Divisor, scalar_map, operation: str) -> Divisor:
     """``scalar_map(value, weight + loops)`` at every vertex of an effective divisor."""
     if not divisor.is_effective:
         raise DomainError(f"{operation} is defined for effective divisors only")
-    g = divisor.graph
-    genera = map(operator.add, g.weights, g._loops)
-    return Divisor(g, [scalar_map(x, genus) for x, genus in zip(divisor.values, genera)])
+    return Divisor(divisor.graph, _pointwise_values(divisor.graph, divisor.values, scalar_map))
 
 
 def degree_demand(divisor: Divisor) -> Divisor:
@@ -285,7 +288,7 @@ def rank_lower_bound(divisor: Divisor) -> int:
         raise DomainError("rank_lower_bound needs a graph with at least one vertex")
     if not divisor.is_effective:
         return -1
-    return min(rank_capacity(divisor).values)
+    return min(_pointwise_values(divisor.graph, divisor.values, rank_for_degree))
 
 
 def lift_divisor(embedding: HatEmbedding, divisor: Divisor) -> Divisor:

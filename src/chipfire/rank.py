@@ -36,8 +36,8 @@ than enumerating its tuples.  Otherwise, and always at the failing level
 (so that the witness is the lexicographically smallest failing tuple), the
 tuples are enumerated, under a budget on each level's candidate count.
 
-One search is one ``_Search``: the hat graph (which ``hat_graph`` builds
-once per source graph), the values, their base and base-reduced
+One search is one ``_Search``: the hat graph (``hat_graph`` builds it once
+per weighted or looped graph), the values, their base and base-reduced
 representative (computed once), the budget, and a memo of class steps.
 ``rank`` and ``rank_geq`` each build one, and the Riemann-Roch route one
 more for the dual.  Its level scan walks the level's prefix tree in lex
@@ -61,18 +61,20 @@ from typing import Iterator, Optional
 
 from .divisor import (
     Divisor,
+    _pointwise_values,
     degree_for_rank,
     iter_effective_values,
-    rank_capacity,
+    rank_for_degree,
     rank_lower_bound,
 )
 from .errors import BudgetError, DomainError, InternalError
 from .graph import Graph, hat_graph, strip_weights_and_loops, subdivide_loops
 from .reduction import (
     _borrow,
+    _burn,
     _debt_base,
     _reduce_indices,
-    is_reduced,
+    is_reduced,  # unused here, but bench/tracer.py hooks this name
     is_saturation,
     reduce_divisor,
     saturate,
@@ -115,9 +117,9 @@ def _level_count(k: int, n: int) -> int:
 
 def _check_budget(k: int, n: int, budget: int) -> int:
     """The candidate count of the degree-k level on n vertices; raises
-    BudgetError when it is over the budget."""
+    BudgetError over the budget, and TypeError for a non-integer budget."""
     count = _level_count(k, n)
-    if count > budget:
+    if count > operator.index(budget):
         raise BudgetError(
             f"degree-{k} enumeration needs {count} candidates, over the budget of {budget}",
             count=count,
@@ -312,36 +314,38 @@ class _Search:
 def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = False) -> RankResult:
     """The combinatorial rank of a divisor on any connected graph.
 
-    Bounds, then search: the method and the start level are chosen here,
-    in this order, and one loop searches up from that level.  With
-    ``exhaustive=True`` the search starts at level 0 and evaluates the
-    definition directly on the hat graph.  Otherwise ``reduced-negative``
-    (rank -1) when the class has no effective representative,
-    ``rank-explicit`` (which answers every divisor on a single vertex) at
-    the minimal rank capacity plus one, ``riemann-roch`` when deg(K - D) <
-    deg D, which ranks K - D on the hat graph first, and else the
-    exhaustive search.  A level is decided from the previous level's
-    classes when that is cheaper than enumerating its candidates, and the
-    failing level is always enumerated in lex order, so the value and
-    witness are identical either way.  Raises BudgetError when some
-    required level has more than ``budget`` candidates, however it is
-    decided.
+    Bounds, then search: the method and the start level are chosen here, in
+    this order, and one loop searches up from that level on the hat graph,
+    which for a weightless loopless graph is the graph itself (no embedding
+    is built).  With ``exhaustive=True`` the search starts at level 0.
+    Otherwise ``reduced-negative`` (rank -1) when the class has no effective
+    representative, ``rank-explicit`` (which answers every divisor on a
+    single vertex) at the minimal rank capacity plus one, whose reduced test
+    burns no vertex with fewer than deg - g' chips (g' the loopless genus),
+    ``riemann-roch`` when deg(K - D) < deg D, which ranks K - D first, and
+    else the exhaustive search.  A level is decided from the previous
+    level's classes when that is cheaper than enumerating its candidates,
+    and the failing level is always enumerated in lex order, so the value
+    and witness are the same either way.  Raises BudgetError when a level
+    it needs has more than ``budget`` candidates, however it is decided.
     """
-    graph = divisor.graph
+    graph, values = divisor.graph, divisor.values
     graph.require_connected("rank")
-    hat = graph._hat[0] if graph._hat else hat_graph(graph).target
-    lifted = divisor.values + (0,) * (hat.vertex_count - graph.vertex_count)  # zero on fresh ones
+    weighted = any(graph._weights) or any(graph._loops)  # or looped; else its own hat
+    hat = (graph._hat[0] if graph._hat else hat_graph(graph).target) if weighted else graph
+    lifted = values + (0,) * (hat.vertex_count - graph.vertex_count)  # zero on fresh ones
     search = _Search(hat, lifted, budget)
-    excess = divisor.degree - hat.genus()  # deg(K - D) < deg D exactly when this is >= 0
     if exhaustive:
         method, k = METHOD_EXHAUSTIVE, 0
     elif search.base_reduced[search.base] < 0:
         method, k = METHOD_REDUCED_NEGATIVE, 0
-    elif divisor.is_effective and (
-        next(_explicit_indices(divisor, capacity := rank_capacity(divisor).values), None) is not None
+    elif (
+        divisor.is_effective
+        and (capacity := _pointwise_values(graph, values, rank_for_degree))  # never empty
+        and next(_explicit_indices(graph, values, capacity), None) is not None
     ):
         method, k = METHOD_RANK_EXPLICIT, min(capacity) + 1
-    elif excess >= 0:
+    elif (excess := divisor.degree - hat.genus()) >= 0:  # exactly when deg(K - D) < deg D
         dual = tuple(d - 2 - x for d, x in zip(hat._degrees, lifted))
         dual_rank, _ = _Search(hat, dual, budget).first_failing(METHOD_EXHAUSTIVE, 0)
         method, k = METHOD_RIEMANN_ROCH, dual_rank + excess + 2
@@ -372,24 +376,26 @@ def rank_geq(
     return False, search.certify(failing)
 
 
-def _explicit_indices(divisor: Divisor, capacity: tuple[int, ...]) -> Iterator[int]:
-    """The indices, in declaration order, of the vertices at which the
-    effective ``divisor`` is reduced and its rank capacity ``capacity``
-    attains its minimum."""
-    floor_value = min(capacity)
-    for i, v in enumerate(divisor.graph.vertex_ids):
-        if capacity[i] == floor_value and is_reduced(divisor, v):
+def _explicit_indices(
+    graph: Graph, values: tuple[int, ...], capacity: tuple[int, ...]
+) -> Iterator[int]:
+    """The indices, in order, where the effective ``values`` are reduced and
+    their rank capacity ``capacity`` is least.  Reduced at i, they hold at most
+    g' (loopless genus) chips off i (Baker-Norine): no burn below deg - g'."""
+    floor_value, least = min(capacity), sum(values) - graph._loopless_genus
+    for i, x in enumerate(values):
+        if capacity[i] == floor_value and x >= least and max(_burn(graph, values, i)) < 0:
             yield i
 
 
 def _iter_rank_explicit(divisor: Divisor) -> Iterator[str]:
-    graph = divisor.graph
+    graph, values = divisor.graph, divisor.values
     graph.require_connected("rank_explicit_vertices")
     if divisor.is_effective:
-        for i in _explicit_indices(divisor, rank_capacity(divisor).values):
+        for i in _explicit_indices(graph, values, _pointwise_values(graph, values, rank_for_degree)):
             yield graph.vertex_ids[i]
         return
-    base = _debt_base(divisor.values)
+    base = _debt_base(values)
     reduced, _ = reduce_divisor(divisor, graph.vertex_ids[base])
     if reduced.values[base] < 0:
         yield graph.vertex_ids[0]

@@ -9,7 +9,8 @@ import pytest
 
 import chipfire as cf
 from chipfire.oracle import BRUTE_RANK_MAX_DEGREE, BRUTE_RANK_MAX_VERTICES, _solve_reduced
-from conftest import binary_graph, seeded_instances
+from chipfire.reduction import _burn
+from conftest import binary_graph, cycle_graph, seeded_instances
 
 
 # -- rank_geq -----------------------------------------------------------------
@@ -130,12 +131,8 @@ def test_rank_fast_path_level_must_fail(monkeypatch):
     d = cf.Divisor(cf.Graph([("a", 2)]), (3,))
     assert cf.rank(d).rank == 1
     # zero capacities make rank-explicit claim rank 0; rank() computes the
-    # capacities through the module's rank_capacity binding
-    monkeypatch.setattr(
-        importlib.import_module("chipfire.rank"),
-        "rank_capacity",
-        lambda divisor: cf.Divisor(divisor.graph, (0,) * divisor.graph.vertex_count),
-    )
+    # capacities through the module's rank_for_degree binding
+    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "rank_for_degree", lambda x, g: 0)
     with pytest.raises(cf.InternalError, match="one degree above the computed rank"):
         cf.rank(d)
     assert cf.rank(d, exhaustive=True).rank == 1
@@ -256,6 +253,29 @@ def test_rank_budget_parity_with_exhaustive(dhar5):
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], budget
         assert isinstance(outcomes[0], str) == (budget < level3)
+
+
+def test_rank_budget_must_be_an_integer(dhar5, weighted_binary):
+    # every budget reaches the per-level check, which refuses a non-integer
+    # whatever the method; an integer budget keeps its message
+    g = dhar5.graph
+    divisors = [
+        dhar5.divisors["example"],  # riemann-roch
+        cf.Divisor(g, {"v0": -1}),  # reduced-negative
+        cf.Divisor(g, {"v1": 1}),  # rank-explicit
+        weighted_binary.divisors["example"],  # rank-explicit on a hat graph
+    ]
+    for d in divisors:
+        for exhaustive in (False, True):
+            with pytest.raises(TypeError):
+                cf.rank(d, budget=1.5, exhaustive=exhaustive)
+    with pytest.raises(TypeError):
+        cf.rank_geq(dhar5.divisors["example"], 2, budget=100.0)
+    with pytest.raises(TypeError):
+        cf.rank_lower_bound_certified(dhar5.divisors["example"], 1, budget=1e9)
+    with pytest.raises(cf.BudgetError) as info:
+        cf.rank(dhar5.divisors["example"], budget=3)
+    assert str(info.value) == "degree-1 enumeration needs 5 candidates, over the budget of 3"
 
 
 def test_rank_witness_is_lex_smallest(dhar5):
@@ -536,6 +556,35 @@ def test_cached_hat_leaves_no_cyclic_garbage(monkeypatch):
         gc.enable()
 
 
+def test_rank_builds_no_hat_for_a_weightless_loopless_graph(monkeypatch):
+    # a weightless loopless graph is its own hat, so rank() never asks for
+    # one; a weighted or looped graph builds its hat once, on its first rank
+    rank_module = importlib.import_module("chipfire.rank")
+    hat_graph = rank_module.hat_graph
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return hat_graph(graph)
+
+    monkeypatch.setattr(rank_module, "hat_graph", counting)
+    plain = cf.Graph(["a", "b", "c"], [("a", "b", 2), ("b", "c"), ("a", "c")])
+    methods = set()
+    for values in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (-1, 0, 0), (3, 3, 3), (0, 1, -1)):
+        for exhaustive in (False, True):
+            methods.add(cf.rank(cf.Divisor(plain, values), exhaustive=exhaustive).method)
+    assert methods == {"exhaustive", "rank-explicit", "reduced-negative", "riemann-roch"}
+    assert calls == []
+    for graph in (
+        cf.Graph([("a", 1), "b"], [("a", "b")]),
+        cf.Graph(["a", "b"], [("a", "b"), ("b", "b")]),
+    ):
+        for values in ((0, 0), (1, 0), (-1, 0), (2, 2)):
+            cf.rank(cf.Divisor(graph, values))
+        assert calls == [graph]
+        calls.clear()
+
+
 def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     # a class step reduces through the borrowing kernel alone, and the rest
     # through the full reduction: all three are counted where rank reaches
@@ -680,18 +729,80 @@ def test_rank_explicit_vertex_stops_at_first_hit(monkeypatch):
     g = cf.Graph([f"p{i}" for i in range(n)], [(f"p{i}", f"p{i + 1}") for i in range(n - 1)])
     calls = []
 
-    def counting(divisor, base):
+    def counting(graph, values, base):
         calls.append(base)
-        return cf.is_reduced(divisor, base)
+        return _burn(graph, values, base)
 
     # the package re-exports the rank() function under the module's name
-    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "is_reduced", counting)
+    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_burn", counting)
     zero = cf.Divisor(g)
     assert cf.rank_explicit_vertex(zero) == "p0"
-    assert calls == ["p0"]
+    assert calls == [0]
     calls.clear()
     assert cf.rank_explicit_vertices(zero) == g.vertex_ids
     assert len(calls) == n
+
+
+def _explicit_by_definition(divisor):
+    """Every minimum-capacity vertex at which the effective divisor is
+    reduced, each tested by ``is_reduced``, with no vertex skipped."""
+    capacity = cf.rank_capacity(divisor).values
+    return tuple(
+        v
+        for v, c in zip(divisor.graph.vertex_ids, capacity)
+        if c == min(capacity) and cf.is_reduced(divisor, v)
+    )
+
+
+def _clifford_range_divisors(seed, count):
+    """Effective divisors spread at random in degree 0..2g-2, on the sweep
+    generator's graphs, as the rank-clifford benchmark draws them."""
+    rng = random.Random(seed)
+    while count:
+        graph = cf.random_connected_graph(rng, 7, 12, 2)
+        if graph.genus() < 2:
+            continue
+        values = [0] * graph.vertex_count
+        for _ in range(rng.randint(0, 2 * graph.genus() - 2)):
+            values[rng.randrange(graph.vertex_count)] += 1
+        count -= 1
+        yield cf.Divisor(graph, values)
+
+
+def test_rank_explicit_chip_bound_skips_only_unreduced_vertices(monkeypatch):
+    # a divisor reduced at v has at most g' (the loopless genus) chips off v,
+    # so skipping a vertex with fewer than deg - g' chips may not drop one
+    burns = []
+
+    def counting(graph, values, base):
+        burns.append(base)
+        return _burn(graph, values, base)
+
+    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_burn", counting)
+    effective = [d for _, _, d in seeded_instances(41, 300) if d.is_effective]
+    effective += _clifford_range_divisors(42, 300)
+    reference_burns = 0
+    for d in effective:
+        capacity = cf.rank_capacity(d).values
+        reference_burns += capacity.count(min(capacity))
+        assert cf.rank_explicit_vertices(d) == _explicit_by_definition(d), d
+    assert len(effective) > 350
+    # the bound ruled some candidates out, and not all of them
+    assert 0 < len(burns) < reference_burns
+
+
+def test_rank_explicit_chip_bound_can_rule_out_every_candidate(monkeypatch):
+    # on a cycle g' = 1; every vertex of least capacity (value 0) holds fewer
+    # than deg - g' = 1 chips, so none is burned, and none qualifies
+    burns = []
+    rank_module = importlib.import_module("chipfire.rank")
+    monkeypatch.setattr(rank_module, "_burn", lambda *args: burns.append(args) or _burn(*args))
+    g = cycle_graph(5)
+    d = cf.Divisor(g, (1, 1, 0, 0, 0))
+    assert _explicit_by_definition(d) == ()
+    assert cf.rank_explicit_vertices(d) == ()
+    assert cf.rank(d).method == "riemann-roch"
+    assert burns == []
 
 
 def test_rank_explicit_absent_for_binary_genus_one_class():
