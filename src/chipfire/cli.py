@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -276,7 +277,13 @@ def main(argv: list[str] | None = None) -> int:
     except ChipfireError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    try:
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; with stdout on devnull the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if payload.get("ok") is False else 0
 
 

@@ -138,7 +138,7 @@ def brute_is_reduced(divisor: Divisor, base: str) -> bool:
         return False
     others = [i for i in range(n) if i != u]
     adj = graph._adj_items
-    outward = [sum(m for _, m in adj[i]) for i in range(n)]  # loops excluded by construction
+    outward = graph._degrees  # edges leaving each vertex; loops excluded, as from adj
     for mask in range(1, 1 << len(others)):
         inside = [others[t] for t in range(len(others)) if mask >> t & 1]
         member = set(inside)
@@ -244,6 +244,8 @@ def _bullet_loop() -> Fixture:
     )
 
 
+_NAMED = {"dhar5": _dhar5, "weighted-binary": _weighted_binary,
+          "three-component": _three_component, "bullet-loop": _bullet_loop}
 _PARAMETRIC = re.compile(r"(binary|rose)\((\d+)\)\Z")
 
 
@@ -253,14 +255,8 @@ def load_fixture(name: str) -> Fixture:
     Known names: ``dhar5``, ``weighted-binary``, ``three-component``,
     ``bullet-loop``, and the parametric ``binary(g)`` and ``rose(g)``.
     """
-    if name == "dhar5":
-        return _dhar5()
-    if name == "weighted-binary":
-        return _weighted_binary()
-    if name == "three-component":
-        return _three_component()
-    if name == "bullet-loop":
-        return _bullet_loop()
+    if name in _NAMED:
+        return _NAMED[name]()
     match = _PARAMETRIC.match(name)
     if match:
         try:

@@ -388,9 +388,9 @@ def _explicit_indices(
             yield i
 
 
-def _iter_rank_explicit(divisor: Divisor) -> Iterator[str]:
+def _iter_rank_explicit(divisor: Divisor, caller: str) -> Iterator[str]:
     graph, values = divisor.graph, divisor.values
-    graph.require_connected("rank_explicit_vertices")
+    graph.require_connected(caller)
     if divisor.is_effective:
         for i in _explicit_indices(graph, values, _pointwise_values(graph, values, rank_for_degree)):
             yield graph.vertex_ids[i]
@@ -409,13 +409,13 @@ def rank_explicit_vertices(divisor: Divisor) -> tuple[str, ...]:
     minimum.  A non-effective divisor qualifies only through the rank -1
     test (no effective representative), reported at the first vertex.
     """
-    return tuple(_iter_rank_explicit(divisor))
+    return tuple(_iter_rank_explicit(divisor, "rank_explicit_vertices"))
 
 
 def rank_explicit_vertex(divisor: Divisor) -> Optional[str]:
     """The first vertex (declaration order) certifying rank-explicitness,
     or None; stops at the first qualifying vertex."""
-    return next(_iter_rank_explicit(divisor), None)
+    return next(_iter_rank_explicit(divisor, "rank_explicit_vertex"), None)
 
 
 def rank_lower_bound_certified(

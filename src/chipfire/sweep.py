@@ -32,6 +32,7 @@ from .divisor import (
     Divisor,
     FiringScript,
     apply_script,
+    lift_divisor,
     rank_for_degree,
     rank_lower_bound,
 )
@@ -159,12 +160,6 @@ def _instance_cost(graph: Graph, divisor: Divisor) -> int:
     return cost
 
 
-def _brute_cost(graph: Graph, degree: int) -> int:
-    if degree < 0:
-        return 1
-    return _level_count(degree, graph.vertex_count) * (degree + 2)
-
-
 class _Sweep:
     def __init__(self, config: SweepConfig):
         self.config = config
@@ -268,10 +263,10 @@ class _Sweep:
             if degree >= 2 * genus - 1 and value != degree - genus else None,
         )
 
-        hat = hat_graph(graph).target
-        lifted = divisor.values + (0,) * (hat.vertex_count - n)  # zero on fresh vertices
+        lifted = lift_divisor(hat_graph(graph), divisor)
+        hat = lifted.graph
         zero_base = any(
-            _reduce_indices(hat, list(lifted), u)[0][u] == 0 for u in range(hat.vertex_count)
+            _reduce_indices(hat, list(lifted.values), u)[0][u] == 0 for u in range(hat.vertex_count)
         )
         check(
             "rank-zero-characterization",
@@ -288,12 +283,7 @@ class _Sweep:
                 if (result.rank, result.witness) != (value, exact.witness) else None,
             )
 
-        if (
-            stripped is graph
-            and n <= BRUTE_RANK_MAX_VERTICES
-            and degree <= BRUTE_RANK_MAX_DEGREE
-            and _brute_cost(graph, degree) <= 60_000
-        ):
+        if stripped is graph and n <= BRUTE_RANK_MAX_VERTICES and degree <= BRUTE_RANK_MAX_DEGREE:
             check("oracle-rank", "brute-force rank disagrees" if brute_rank(divisor) != value else None)
 
         base = ids[rng.randrange(n)]

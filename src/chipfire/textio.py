@@ -1,18 +1,19 @@
 """Plain-text graph files and divisor literals.
 
-Graph grammar, one directive per line; blank lines and ``#`` comments are
-ignored::
+Graph grammar, one directive per line, where a line ends at ``\\n``,
+``\\r\\n`` or ``\\r``; blank lines and ``#`` comments are ignored::
 
     v <id> [<weight>]      # declare a vertex, weight >= 0, default 0
     e <id1> <id2> [<mult>] # declare edges, mult >= 1, default 1;
                            # id1 == id2 is a loop; repeated lines accumulate
 
 Ids match ``[A-Za-z0-9_-]+`` (no dots, which are reserved for derived
-vertices).  Divisor literals are comma-separated ``id=int`` entries with
-omitted vertices equal to zero.  ``parse_graph(render_graph(g))`` is the
-identity when every id of ``g`` matches the grammar.  A derived graph (hat,
-loop-subdivided) has dotted ids such as ``v1.z1``, so its rendering, which
-is what ``chipfire hat`` and ``chipfire bullet`` print, does not parse back.
+vertices) and integers ``[+-]?[0-9]+``, in ASCII.  Divisor literals are
+comma-separated ``id=int`` entries with omitted vertices equal to zero.
+``parse_graph(render_graph(g))`` is the identity when every id of ``g``
+matches the grammar.  A derived graph (hat, loop-subdivided) has dotted ids
+such as ``v1.z1``, so its rendering, which is what ``chipfire hat`` and
+``chipfire bullet`` print, does not parse back.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import ParseError, quoted
 from .graph import Graph
 
 _ID = re.compile(r"[A-Za-z0-9_-]+\Z")
-_INT = re.compile(r"[+-]?\d+\Z")
+_INT = re.compile(r"[+-]?[0-9]+\Z")
 
 
 def _int(token: str, what: str, owner: str, line: int | None = None) -> int:
@@ -58,7 +59,9 @@ def parse_graph(text: str) -> GraphDocument:
     vertex_lines: dict[str, int] = {}
     loops: list[int] = []
     adj: list[dict[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # universal newlines only: str.splitlines would also end a line at \f, \x85, \u2028, ...
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

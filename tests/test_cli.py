@@ -52,10 +52,13 @@ def weighted_binary_file(tmp_path):
 
 
 def test_parse_minimal_graph():
-    doc = cf.parse_graph("v a\nv b\ne a b 3\n")
-    assert doc.graph.vertex_ids == ("a", "b")
-    assert doc.graph.multiplicity("a", "b") == 3
-    assert doc.vertex_lines == {"a": 1, "b": 2}
+    # a line ends at \n, \r\n or \r only, so a form feed stays inside its comment
+    for text in ("v a\nv b\ne a b 3\n", "v a\r\nv b\r\ne a b 3\r\n", "v a\rv b\re a b 3",
+                 "v a # note\fv c\nv b\ne a b 3\n"):
+        doc = cf.parse_graph(text)
+        assert doc.graph.vertex_ids == ("a", "b")
+        assert doc.graph.multiplicity("a", "b") == 3
+        assert doc.vertex_lines == {"a": 1, "b": 2}
 
 
 def test_parse_accumulates_multiplicity():
@@ -160,6 +163,9 @@ def test_parse_errors_carry_line_numbers():
         ("v a -1\n", 1),  # negative weight
         ("w a\n", 1),  # unknown directive
         ("v a extra junk\n", 1),
+        ("v a \u0663\n", 1),  # a non-ASCII digit
+        ("v a\nv b\ne a b \u0661\u0660\n", 3),
+        ("v a\u2028v b\n", 1),  # a line separator does not end a line
     ]
     for text, line in cases:
         with pytest.raises(cf.ParseError) as info:
@@ -172,7 +178,7 @@ def test_parse_divisor_literals(dhar5):
     assert cf.parse_divisor("", g).values == (0,) * 5
     assert cf.parse_divisor("v1=1, v2=2 ,v3=4,v4=4", g).values == (0, 1, 2, 4, 4)
     assert cf.parse_divisor("v0=-3", g).values == (-3, 0, 0, 0, 0)
-    for bad in ("x=1", "v1=1,v1=2", "v1=one", "v1"):
+    for bad in ("x=1", "v1=1,v1=2", "v1=one", "v1", "v1=\u0661\u0660"):
         with pytest.raises(cf.ParseError) as info:
             cf.parse_divisor(bad, g)
         assert bad.split("=")[0].split(",")[0] in str(info.value)
@@ -780,13 +786,13 @@ def test_cli_clifford_not_applicable_exits_zero(dhar5_file, capsys):
     assert payload == {"ok": True, "applicable": False, "rank": 9, "degree": 19, "genus": 10}
 
 
-def _run_module(*args):
+def _run_module(*args, stdout=subprocess.PIPE):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     return subprocess.run(
         [sys.executable, "-m", "chipfire", *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
 
 
@@ -801,6 +807,18 @@ def test_module_entry_point(dhar5_file, tmp_path):
     done = _run_module("genus", str(tmp_path / "missing.graph"))
     assert done.returncode == 1
     assert done.stdout == "" and done.stderr.startswith("error: cannot read graph file ")
+
+
+def test_closed_stdout_exits_one_quietly(dhar5_file):
+    # the reader of stdout is gone before the first write
+    for args in (["genus", dhar5_file], ["saturate", dhar5_file, "-d", "v1=3,v4=1", "-u", "v0"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _run_module(*args, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_cli_builds_its_parser_once(dhar5_file, monkeypatch):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib
 import math
 import random
@@ -229,6 +230,24 @@ def test_rank_requires_connected():
     g = cf.Graph(["a", "b"])
     with pytest.raises(cf.DisconnectedError):
         cf.rank(cf.Divisor(g))
+
+
+# sha256 of (rank, method, witness literal) over 1,000 seeded instances,
+# with the fast paths and without
+_SEEDED_RANK_SHA256 = {
+    False: "cb8f0f94447eb2c5120d12d08859b1e441b3ef1abf752046736e45be2f806a74",
+    True: "a668b110ff2b91f045269503c54c646ab9cdfc305d491c37a90d92e3393fe4ae",
+}
+
+
+def test_seeded_rank_outputs_are_pinned():
+    for exhaustive, expected in _SEEDED_RANK_SHA256.items():
+        digest = hashlib.sha256()
+        for _, _, divisor in seeded_instances(20260810, 1000):
+            result = cf.rank(divisor, exhaustive=exhaustive)
+            output = (result.rank, result.method, cf.render_divisor(result.witness))
+            digest.update(repr(output).encode())
+        assert digest.hexdigest() == expected
 
 
 def test_rank_budget_guard(dhar5):
@@ -743,6 +762,14 @@ def test_rank_explicit_vertex_stops_at_first_hit(monkeypatch):
     assert len(calls) == n
 
 
+def test_rank_explicit_errors_name_their_entry_point():
+    zero = cf.Divisor(cf.Graph(["a", "b"]))
+    for entry in (cf.rank_explicit_vertex, cf.rank_explicit_vertices):
+        message = rf"^{entry.__name__} requires a connected graph$"
+        with pytest.raises(cf.DisconnectedError, match=message):
+            entry(zero)
+
+
 def _explicit_by_definition(divisor):
     """Every minimum-capacity vertex at which the effective divisor is
     reduced, each tested by ``is_reduced``, with no vertex skipped."""
@@ -850,6 +877,18 @@ def test_lower_bound_certified_weighted_binary(weighted_binary):
     assert cf.degree_demand(cf.Divisor(g, (0, 2))).values == (0, 4)
     assert cf.rank_lower_bound_certified(d, 2)
     assert not cf.rank_lower_bound_certified(d, 3)
+
+
+def test_lower_bound_certified_when_reduction_pays_the_debt():
+    # a candidate leaves debt, and the reduction finds an effective representative
+    triangle = cf.Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    d = cf.Divisor(triangle, (2, 0, 0))
+    assert cf.rank(d).rank == 1
+    assert cf.rank_lower_bound_certified(d, 1)
+    assert not cf.rank_lower_bound_certified(d, 2)
+    weighted = cf.Divisor(cf.Graph([("a", 1), "b"], [("a", "b", 2)]), (3, 0))
+    assert cf.rank(weighted).rank == 1
+    assert cf.rank_lower_bound_certified(weighted, 1)
 
 
 def test_lower_bound_certified_at_capacity_floor():
