@@ -254,13 +254,13 @@ def _build_parser() -> argparse.ArgumentParser:
         divisor=True, budget=True)
     add("clifford", _cmd_clifford, "Clifford inequality verdict",
         divisor=True, budget=True)
-    sweep_cmd = add("sweep", _cmd_sweep, "seeded randomized property suite", graph_file=False)
-    sweep_cmd.add_argument("--vertices", type=int, default=6, help="max vertices per instance")
-    sweep_cmd.add_argument("--max-edges", type=int, default=12,
-                           help="max total edge multiplicity per instance")
-    sweep_cmd.add_argument("--max-weight", type=int, default=2, help="max vertex weight")
-    sweep_cmd.add_argument("--trials", type=int, default=500, help="number of instances")
-    sweep_cmd.add_argument("--seed", type=int, default=0, help="random seed")
+    option = add("sweep", _cmd_sweep, "seeded randomized property suite", graph_file=False).add_argument
+    option("--vertices", type=int, default=SweepConfig.max_vertices, help="max vertices per instance")
+    option("--max-edges", type=int, default=SweepConfig.max_edges,
+           help="max total edge multiplicity per instance")
+    option("--max-weight", type=int, default=SweepConfig.max_weight, help="max vertex weight")
+    option("--trials", type=int, default=SweepConfig.trials, help="number of instances")
+    option("--seed", type=int, default=SweepConfig.seed, help="random seed")
     return parser
 
 

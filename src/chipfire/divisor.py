@@ -310,7 +310,8 @@ def iter_effective_values(degree: int, size: int) -> Iterator[tuple[int, ...]]:
     lexicographic order: C(degree + size - 1, size - 1) of them, and none
     for a negative degree.  A tuple's successor moves one chip from its
     last nonzero entry j > 0 to entry j - 1 and the rest of entry j to the
-    last entry, in place."""
+    last entry, in place.  A non-integer degree or size raises TypeError."""
+    degree, size = operator.index(degree), operator.index(size)
     if size < 1 or degree < 0:
         if degree == 0:
             yield ()

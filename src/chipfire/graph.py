@@ -79,7 +79,7 @@ class Graph:
         adj: list[dict[int, int]] = [dict() for _ in ids]
         for spec in edges:
             if type(spec) is not tuple:  # a tuple, the usual spec, skips both tests
-                if isinstance(spec, str):  # its characters are not an edge: "ab" is not ("a", "b")
+                if isinstance(spec, str) or not isinstance(spec, Iterable):  # "ab" is not ("a", "b")
                     raise GraphError(f"bad edge spec {spec!r}; expected (a, b) or (a, b, mult)")
                 spec = tuple(spec)
             if len(spec) == 2:

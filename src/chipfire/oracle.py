@@ -173,6 +173,14 @@ def _check(fixture_name: str, condition: bool, what: str) -> None:
         raise FixtureError(f"fixture {fixture_name!r} failed its self-check: {what}")
 
 
+def _fixture(name: str, graph: Graph, example: Sequence[int] | None, expected: dict[str, int]) -> Fixture:
+    """Check the graph's genus against ``expected["genus"]`` and build the
+    fixture, with ``example`` as its ``"example"`` divisor unless None."""
+    _check(name, graph.genus() == expected["genus"], f"genus must be {expected['genus']}")
+    divisors = {} if example is None else {"example": Divisor(graph, example)}
+    return Fixture(name=name, graph=graph, divisors=divisors, expected=expected)
+
+
 def _dhar5() -> Fixture:
     graph = Graph(
         ["v0", "v1", "v2", "v3", "v4"],
@@ -192,56 +200,30 @@ def _dhar5() -> Fixture:
            "firing {v3,v4} must give (2,2,2,-4,-2)")
     _check("dhar5", fire_set(graph, {"v1", "v2", "v4"}).values == (4, -3, -3, 4, -2),
            "firing {v1,v2,v4} must give (4,-3,-3,4,-2)")
-    _check("dhar5", graph.genus() == 10, "genus must be 10")
-    return Fixture(
-        name="dhar5",
-        graph=graph,
-        divisors={"example": Divisor(graph, (0, 1, 2, 4, 4))},
-        expected={"genus": 10, "rank": 2, "lower_bound": 0, "canonical_degree": 18},
-    )
+    return _fixture("dhar5", graph, (0, 1, 2, 4, 4),
+                    {"genus": 10, "rank": 2, "lower_bound": 0, "canonical_degree": 18})
 
 
 def _weighted_binary() -> Fixture:
     graph = Graph([("v1", 1), ("v2", 2)], [("v1", "v2", 13)])
-    _check("weighted-binary", graph.genus() == 15, "genus must be 15")
-    return Fixture(
-        name="weighted-binary",
-        graph=graph,
-        divisors={"example": Divisor(graph, (3, 4))},
-        expected={"genus": 15, "rank": 2, "lower_bound": 2},
-    )
+    return _fixture("weighted-binary", graph, (3, 4), {"genus": 15, "rank": 2, "lower_bound": 2})
 
 
 def _three_component() -> Fixture:
     graph = Graph(["v1", "v2", "v3"], [("v1", "v3", 3), ("v2", "v3", 7)])
-    _check("three-component", graph.genus() == 8, "genus must be 8")
     _check("three-component", graph.multiplicity("v1", "v2") == 0,
            "v1 and v2 must not be adjacent")
-    return Fixture(
-        name="three-component",
-        graph=graph,
-        divisors={"example": Divisor(graph, (1, 2, 3))},
-        expected={"genus": 8, "rank": 2},
-    )
+    return _fixture("three-component", graph, (1, 2, 3), {"genus": 8, "rank": 2})
 
 
 def _parametric(kind: str, genus: int) -> Fixture:
     """``binary(g)``: two vertices joined by g + 1 edges; ``rose(g)``: one vertex of weight g."""
-    name = f"{kind}({genus})"
     graph = Graph(["v1", "v2"], [("v1", "v2", genus + 1)]) if kind == "binary" else Graph([("v", genus)])
-    _check(name, graph.genus() == genus, f"genus must be {genus}")
-    return Fixture(name=name, graph=graph, divisors={}, expected={"genus": genus})
+    return _fixture(f"{kind}({genus})", graph, None, {"genus": genus})
 
 
 def _bullet_loop() -> Fixture:
-    graph = Graph(["v"], [("v", "v")])
-    _check("bullet-loop", graph.genus() == 1, "genus must be 1")
-    return Fixture(
-        name="bullet-loop",
-        graph=graph,
-        divisors={"example": Divisor(graph, (1,))},
-        expected={"genus": 1, "rank": 0},
-    )
+    return _fixture("bullet-loop", Graph(["v"], [("v", "v")]), (1,), {"genus": 1, "rank": 0})
 
 
 _NAMED = {"dhar5": _dhar5, "weighted-binary": _weighted_binary,

@@ -434,9 +434,8 @@ def rank_lower_bound_certified(
     graph.require_connected("rank_lower_bound_certified")
     n = graph.vertex_count
     _check_budget(r, n, budget)
-    genera = list(map(operator.add, graph.weights, graph._loops))
     for e in iter_effective_values(r, n):
-        vals = [x - degree_for_rank(a, genus) for x, a, genus in zip(divisor.values, e, genera)]
+        vals = list(map(operator.sub, divisor.values, _pointwise_values(graph, e, degree_for_rank)))
         if min(vals) >= 0:
             continue
         base = _debt_base(vals)

@@ -358,6 +358,8 @@ def is_saturation(original: Graph, candidate: Graph, divisor: Divisor, base: str
     """Check the three saturation conditions: the original is a spanning
     subgraph of the candidate, every extra edge touches the base, and the
     divisor is base-reduced on the candidate."""
+    if not isinstance(candidate, Graph):
+        raise DomainError(f"expected a Graph, got {type(candidate).__name__}")
     if divisor.graph != original:
         raise DomainError("divisor is not bound to the original graph")
     original.require_connected("is_saturation")

@@ -148,15 +148,13 @@ def _search_cost(hat_vertices: int, degree: int, genus: int) -> int:
 
 def _instance_cost(graph: Graph, divisor: Divisor) -> int:
     genus = graph.genus()
-    local = sum(graph.local_genus(v) for v in graph.vertex_ids)
-    hat_n = graph.vertex_count + local
+    hat_n = graph.vertex_count + genus - graph._loopless_genus  # plus the local genera
     degree = divisor.degree
     canonical_degree = 2 * genus - 2 - degree
     cost = 4 * _search_cost(hat_n, degree, genus)  # d, shift, bullet, fast-path re-run
     cost += _search_cost(hat_n, canonical_degree, genus)
     cost += _search_cost(hat_n, degree + 2, genus)  # monotone bump
-    # the stripped graph: the same vertices, the genus less the local genera
-    cost += _search_cost(graph.vertex_count, degree, genus - local)
+    cost += _search_cost(graph.vertex_count, degree, graph._loopless_genus)  # the stripped graph
     return cost
 
 

@@ -25,11 +25,12 @@ def cycle_graph(n):
     return cf.Graph(ids, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
 
 
-def grid_graph(side):
-    """The side x side grid, row by row: v(r * side + c)."""
-    ids = [f"v{i}" for i in range(side * side)]
-    return cf.Graph(ids, [(ids[v], ids[v + 1]) for v in range(len(ids)) if (v + 1) % side] + [
-        (ids[v], ids[v + side]) for v in range(len(ids) - side)
+def grid_graph(rows, cols, vertex="g{i}_{j}"):
+    """The rows x cols grid, row by row: the vertex in row i and column j,
+    whose row-major index is k, is ``vertex`` formatted with i, j and k."""
+    ids = [vertex.format(i=i, j=j, k=i * cols + j) for i in range(rows) for j in range(cols)]
+    return cf.Graph(ids, [(ids[k], ids[k + 1]) for k in range(len(ids)) if (k + 1) % cols] + [
+        (ids[k], ids[k + cols]) for k in range(len(ids) - cols)
     ])
 
 

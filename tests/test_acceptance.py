@@ -7,7 +7,7 @@ import time
 
 import chipfire as cf
 from chipfire.oracle import _class_signature
-from conftest import binary_graph
+from conftest import binary_graph, cycle_graph, grid_graph
 
 
 class _Timer:
@@ -242,13 +242,10 @@ def test_criterion_8_oracle_agreement():
 def test_grid_equivalence_exact_solve():
     with _Timer("grid-10x10", 2.0):
         side = 10
-        ids = [f"v{i}_{j}" for i in range(side) for j in range(side)]
-        edges = [(f"v{i}_{j}", f"v{i + 1}_{j}") for i in range(side - 1) for j in range(side)]
-        edges += [(f"v{i}_{j}", f"v{i}_{j + 1}") for i in range(side) for j in range(side - 1)]
-        g = cf.Graph(ids, edges)
+        g = grid_graph(side, side, "v{i}_{j}")
         rng = random.Random(10)
-        base = cf.Divisor(g, [rng.randint(-3, 5) for _ in ids])
-        script = cf.FiringScript(g, [rng.randint(0, 6) for _ in ids])
+        base = cf.Divisor(g, [rng.randint(-3, 5) for _ in g.vertex_ids])
+        script = cf.FiringScript(g, [rng.randint(0, 6) for _ in g.vertex_ids])
         moved = base + cf.apply_script(script)
         assert cf.equivalence_script(moved, base) == script.normalized()
         # the grid is 2-edge-connected, so no two distinct points are equivalent
@@ -266,9 +263,7 @@ def _check_reduction(divisor, base):
 
 def test_reduce_cycle_time_independent_of_chip_count():
     with _Timer("C30 with 10^5 chips", 1.0):
-        ids = [f"v{i}" for i in range(30)]
-        cycle = cf.Graph(ids, [(ids[i], ids[(i + 1) % 30]) for i in range(30)])
-        _check_reduction(cf.Divisor(cycle, {"v7": 10**5}), "v0")
+        _check_reduction(cf.Divisor(cycle_graph(30), {"v7": 10**5}), "v0")
 
 
 def test_reduce_complete_graph_time_independent_of_chip_count():
@@ -278,26 +273,19 @@ def test_reduce_complete_graph_time_independent_of_chip_count():
         _check_reduction(cf.Divisor(k6, {"v3": 10**6}), "v0")
 
 
-def _grid(side):
-    ids = [f"g{i}_{j}" for i in range(side) for j in range(side)]
-    edges = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(side - 1) for j in range(side)]
-    edges += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(side) for j in range(side - 1)]
-    return cf.Graph(ids, edges)
-
-
 def test_reduce_one_chip_of_debt_across_the_grid():
     with _Timer("20x20 grid, one chip of debt at the far corner", 1.0):
-        grid = _grid(20)
+        grid = grid_graph(20, 20)
         _check_reduction(cf.Divisor(grid, {"g0_0": 1, "g19_19": -1}), "g0_0")
 
 
 def test_reduce_debt_pile_time_independent_of_debt():
     with _Timer("8x8 grid, 10^5 chips of debt at the far corner", 1.0):
-        _check_reduction(cf.Divisor(_grid(8), {"g7_7": -(10**5)}), "g0_0")
+        _check_reduction(cf.Divisor(grid_graph(8, 8), {"g7_7": -(10**5)}), "g0_0")
 
 
 def test_reduce_grid_pile_time_independent_of_chip_count():
-    grid = _grid(8)
+    grid = grid_graph(8, 8)
     pile = cf.Divisor(grid, {"g7_7": 10**5})
     with _Timer("8x8 grid, 10^5 chips at the far corner", 1.0):
         reduced = _check_reduction(pile, "g0_0")
@@ -306,15 +294,13 @@ def test_reduce_grid_pile_time_independent_of_chip_count():
 
 def test_reduce_astronomical_pile():
     with _Timer("8x8 grid, 10^30 chips at the far corner", 1.0):
-        _check_reduction(cf.Divisor(_grid(8), {"g7_7": 10**30}), "g0_0")
+        _check_reduction(cf.Divisor(grid_graph(8, 8), {"g7_7": 10**30}), "g0_0")
 
 
 def test_reduce_pile_past_the_recursion_limit():
     # 1,200 halvings: a recursive halving would overflow the stack
     with _Timer("C30 with 2^1200 chips", 1.0):
-        ids = [f"v{i}" for i in range(30)]
-        cycle = cf.Graph(ids, [(ids[i], ids[(i + 1) % 30]) for i in range(30)])
-        _check_reduction(cf.Divisor(cycle, {"v15": 2**1200}), "v0")
+        _check_reduction(cf.Divisor(cycle_graph(30), {"v15": 2**1200}), "v0")
 
 
 def test_equivalence_on_a_long_cycle():
@@ -354,11 +340,7 @@ def test_exhaustive_rank_looped_k4_from_classes():
 
 
 def _all_ones_on_grid(rows, cols):
-    ids = [f"g{i}_{j}" for i in range(rows) for j in range(cols)]
-    edges = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(rows - 1) for j in range(cols)]
-    edges += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(rows) for j in range(cols - 1)]
-    grid = cf.Graph(ids, edges)
-    return cf.Divisor(grid, [1] * len(ids))
+    return cf.Divisor(grid_graph(rows, cols), [1] * (rows * cols))
 
 
 def test_rank_all_ones_3x5_grid_from_the_dual():

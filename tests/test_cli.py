@@ -449,12 +449,7 @@ def test_cli_g0_exact_output(weighted_looped_file, capsys):
 def test_cli_reduce_big_pile_exact_output(tmp_path, capsys):
     # 10^4 chips on the 6x6 grid: more than 2g' + n - 1 = 85, so the
     # reduction halves the pile; the bytes are those of one unhalved pass
-    side = 6
-    grid = cf.Graph(
-        [f"g{i}_{j}" for i in range(side) for j in range(side)],
-        [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(side - 1) for j in range(side)]
-        + [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(side) for j in range(side - 1)],
-    )
+    grid = grid_graph(6, 6)
     path = tmp_path / "grid6.graph"
     path.write_text(cf.render_graph(grid))
     assert main(["reduce", str(path), "-d", "g5_5=10000", "-u", "g0_0", "--json"]) == 0
@@ -751,6 +746,70 @@ def test_cli_sweep_failure_report_exits_one(exhaustive_rank_one_too_high, capsys
     }
 
 
+# the one instance of SweepConfig(trials=1, seed=1), as failure lines show it
+_SEED1_INSTANCE = "[graph: v v0 1; v v1; e v0 v1 3] [divisor: v0=-4,v1=2]"
+_SEED1_MISREDUCED = f"trial 0: reduce-canonical: reduction at v1 misbehaved {_SEED1_INSTANCE}"
+
+
+def _seed1_failures():
+    return cf.run_sweep(cf.SweepConfig(trials=1, seed=1)).failures
+
+
+def test_sweep_flags_a_riemann_roch_residual(monkeypatch):
+    # one chip too many on the canonical divisor, which only riemann-roch reads
+    canonical = cf.Graph.canonical_divisor
+
+    def one_too_many(graph):
+        return canonical(graph) + cf.Divisor(graph, {graph.vertex_ids[0]: 1})
+
+    monkeypatch.setattr(cf.Graph, "canonical_divisor", one_too_many)
+    assert _seed1_failures() == [
+        f"trial 0: riemann-roch: rank -1, dual rank 4, degree -2, genus 3 {_SEED1_INSTANCE}"
+    ]
+
+
+def test_sweep_flags_a_clifford_violation(exhaustive_rank_one_too_high):
+    # v0 = 1 on one vertex of genus 3 (weight 2, one loop) has rank 0; one too high breaks Clifford
+    report = cf.run_sweep(cf.SweepConfig(trials=4, seed=2))
+    assert [line for line in report.failures if ": clifford: " in line] == [
+        "trial 3: clifford: rank 1 > 0 [graph: v v0 2; e v0 v0] [divisor: v0=1]"
+    ]
+
+
+def test_sweep_flags_an_oracle_reducedness_disagreement(monkeypatch):
+    brute = cf.sweep.brute_is_reduced
+    monkeypatch.setattr("chipfire.sweep.brute_is_reduced", lambda divisor, base: not brute(divisor, base))
+    assert _seed1_failures() == [f"trial 0: oracle-reduced: reducedness at v1 disagrees {_SEED1_INSTANCE}"]
+
+
+def test_sweep_flags_a_reduction_script_that_misses(monkeypatch):
+    # the right reduced divisor, with its firing script negated
+    reduce = cf.sweep.reduce_divisor
+
+    def negated_script(divisor, base):
+        reduced, script = reduce(divisor, base)
+        return reduced, -script
+
+    monkeypatch.setattr("chipfire.sweep.reduce_divisor", negated_script)
+    assert _seed1_failures() == [_SEED1_MISREDUCED]
+
+
+def test_sweep_flags_a_reduction_that_depends_on_the_representative(monkeypatch):
+    # right on the first divisor of each class (the drawn one) and on the
+    # reduced divisor itself; any other representative comes back unreduced
+    reduce = cf.sweep.reduce_divisor
+    first = {}
+
+    def unstable(divisor, base):
+        reduced, script = reduce(divisor, base)
+        if divisor in (first.setdefault((reduced, base), divisor), reduced):
+            return reduced, script
+        return divisor, cf.FiringScript(divisor.graph)
+
+    monkeypatch.setattr("chipfire.sweep.reduce_divisor", unstable)
+    assert _seed1_failures() == [_SEED1_MISREDUCED]
+
+
 def test_cli_rr_check_violation_exits_one(dhar5_file, monkeypatch, capsys):
     monkeypatch.setattr("chipfire.cli.riemann_roch_residual", lambda divisor, **kwargs: 1)
     argv = ["rr-check", dhar5_file, "-d", "v1=1,v2=2,v3=4,v4=4"]
@@ -898,8 +957,8 @@ def test_cli_repeated_calls_give_the_same_bytes(dhar5_file, monkeypatch, capsys)
 # path whose last three vertices close a triangle
 _LARGE_GRAPHS = {
     "cycle30": lambda: cycle_graph(30),
-    "grid8": lambda: grid_graph(8),
-    "grid15": lambda: grid_graph(15),
+    "grid8": lambda: grid_graph(8, 8, "v{k}"),
+    "grid15": lambda: grid_graph(15, 15, "v{k}"),
     "complete20": lambda: cf.Graph(
         [f"v{v}" for v in range(20)], [(f"v{a}", f"v{b}") for a in range(20) for b in range(a + 1, 20)]
     ),

@@ -9,7 +9,9 @@ from chipfire.oracle import _class_signature
 from conftest import (
     binary_graph,
     connected_graphs,
+    cycle_graph,
     graph_with_divisor,
+    grid_graph,
     seeded_instances,
     tadpole_graph,
 )
@@ -148,14 +150,9 @@ def test_solver_determinant_counts_spanning_trees():
     # matrix-tree theorem: the fraction-free solve's determinant is tau(G)
     from chipfire.oracle import _solve_reduced
 
-    cycle = cf.Graph([f"c{i}" for i in range(7)], [(f"c{i}", f"c{(i + 1) % 7}") for i in range(7)])
     k5 = cf.Graph([f"k{i}" for i in range(5)], [(f"k{i}", f"k{j}") for i in range(5) for j in range(i)])
-    grid = cf.Graph(
-        [f"g{i}{j}" for i in range(3) for j in range(3)],
-        [(f"g{i}{j}", f"g{i + 1}{j}") for i in range(2) for j in range(3)]
-        + [(f"g{i}{j}", f"g{i}{j + 1}") for i in range(3) for j in range(2)],
-    )
-    for graph, tau in ((cycle, 7), (k5, 125), (grid, 192), (binary_graph(3), 4), (cf.Graph(["v"]), 1)):
+    cases = ((cycle_graph(7), 7), (k5, 125), (grid_graph(3, 3), 192), (binary_graph(3), 4), (cf.Graph(["v"]), 1))
+    for graph, tau in cases:
         nums, det = _solve_reduced(graph, [0] * graph.vertex_count)
         assert det == tau
         assert nums == [0] * (graph.vertex_count - 1)
@@ -363,6 +360,17 @@ def test_effective_enumeration_of_negative_degree_is_empty():
     assert list(cf.iter_effective_values(-3, 1)) == []
     assert list(cf.iter_effective_values(0, 1)) == [(0,)]
     assert list(cf.iter_effective_values(0, 0)) == [()]
+
+
+def test_effective_enumeration_takes_integers_only():
+    # a float degree would never reach zero and enumerate forever
+    with pytest.raises(TypeError):
+        next(cf.iter_effective_values(1.5, 2))
+    with pytest.raises(TypeError):
+        next(cf.iter_effective_values(2, 2.0))
+    tuples = list(cf.iter_effective_values(True, 2))
+    assert tuples == [(0, 1), (1, 0)]
+    assert all(type(x) is int for t in tuples for x in t)
 
 
 def _recursive_effective_values(degree, size):

@@ -539,12 +539,20 @@ def test_hat_target_is_plain_with_degree_two_midpoints(g):
         # a string is never split into its characters, whatever its length
         (["a", "b"], ["ab"], "bad edge spec 'ab'; expected (a, b) or (a, b, mult)"),
         (["a", "b", "c"], ["abc"], "bad edge spec 'abc'; expected (a, b) or (a, b, mult)"),
+        # nor is anything else that is no sequence
+        (["a"], [5], "bad edge spec 5; expected (a, b) or (a, b, mult)"),
+        (["a"], [None], "bad edge spec None; expected (a, b) or (a, b, mult)"),
     ],
 )
 def test_graph_input_checks(vertices, edges, message):
     with pytest.raises(cf.GraphError) as info:
         cf.Graph(vertices, edges)
     assert str(info.value) == message
+
+
+def test_graph_takes_list_edge_specs():
+    listed = cf.Graph(["a", "b"], [["a", "b"], ["a", "b", 2], ["b", "b"]])
+    assert listed == cf.Graph(["a", "b"], [("a", "b", 3), ("b", "b")])
 
 
 def test_graph_repr(dhar5):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import chipfire as cf
-from chipfire.oracle import _class_signature, _class_signatures
+from chipfire.oracle import _class_signature, _class_signatures, _fixture
 from conftest import binary_graph, seeded_instances
 
 
@@ -114,6 +114,14 @@ def test_load_unknown_fixture():
         with pytest.raises(cf.DomainError, match=r"'\.\.\. \(50\d\d characters\)$") as info:
             cf.load_fixture(huge)
         assert len(str(info.value)) < 200
+
+
+def test_fixture_refuses_a_genus_its_graph_does_not_have():
+    with pytest.raises(cf.FixtureError) as info:
+        _fixture("wrong", binary_graph(2), (1, 1), {"genus": 3})
+    assert str(info.value) == "fixture 'wrong' failed its self-check: genus must be 3"
+    right = _fixture("right", binary_graph(2), None, {"genus": 2})
+    assert (right.name, right.divisors, right.expected) == ("right", {}, {"genus": 2})
 
 
 def test_fixture_expected_values_reproduce():

@@ -11,7 +11,7 @@ import pytest
 import chipfire as cf
 from chipfire.oracle import BRUTE_RANK_MAX_DEGREE, BRUTE_RANK_MAX_VERTICES, _solve_reduced
 from chipfire.reduction import _burn
-from conftest import binary_graph, cycle_graph, seeded_instances
+from conftest import binary_graph, cycle_graph, grid_graph, seeded_instances
 
 
 # -- rank_geq -----------------------------------------------------------------
@@ -626,10 +626,7 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
         counted(rank_module, name, name)
     counted(rank_module._Search, "__init__", "_Search")
 
-    ids = [f"g{i}_{j}" for i in range(3) for j in range(4)]
-    edges = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(2) for j in range(4)]
-    edges += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(3) for j in range(3)]
-    all_ones = cf.Divisor(cf.Graph(ids, edges), (1,) * 12)
+    all_ones = cf.Divisor(grid_graph(3, 4), (1,) * 12)
     counts = []
     for _ in range(2):
         calls.clear()

@@ -395,8 +395,8 @@ def test_firing_the_cut_is_the_round_of_the_whole_unburned_set(monkeypatch):
         (tadpole_graph(1100), {"v0": 1, "v1098": -1}, "v1098", 1098, 1097),
         (cycle_graph(30), {"v7": 1000, "v20": 3}, "v0", 172, 166),
         (cycle_graph(30), {"v3": -5, "v11": 40, "v19": 40}, "v0", 36, 33),
-        (grid_graph(8), {"v63": 1500}, "v0", 312, 307),
-        (grid_graph(8), {"v9": 300, "v36": 300, "v54": 300}, "v63", 217, 213),
+        (grid_graph(8, 8, "v{k}"), {"v63": 1500}, "v0", 312, 307),
+        (grid_graph(8, 8, "v{k}"), {"v9": 300, "v36": 300, "v54": 300}, "v63", 217, 213),
     ],
 )
 def test_firing_round_counts_are_pinned(monkeypatch, graph, chips, base, burns, firings):
@@ -460,6 +460,12 @@ def test_is_saturation_refuses_a_divisor_on_another_graph(dhar5):
     with pytest.raises(cf.DomainError) as info:
         cf.is_saturation(dhar5.graph, dhar5.graph, cf.Divisor(binary_graph(1), (0, 0)), "v0")
     assert str(info.value) == "divisor is not bound to the original graph"
+
+
+def test_is_saturation_refuses_a_candidate_that_is_no_graph(dhar5):
+    with pytest.raises(cf.DomainError) as info:
+        cf.is_saturation(dhar5.graph, "x", dhar5.divisors["example"], "v0")
+    assert str(info.value) == "expected a Graph, got str"
 
 
 def test_saturate_rejects_negative_off_base(dhar5):
