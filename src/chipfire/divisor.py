@@ -36,12 +36,6 @@ def _coerce_values(graph: Graph, values: Values) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _same_graph(a: "_VertexMap", b: "_VertexMap") -> Graph:
-    if a.graph is not b.graph and a.graph != b.graph:
-        raise DomainError("operands are bound to different graphs")
-    return a.graph
-
-
 class _VertexMap:
     """Shared mechanics for integer functions on the vertices of one graph."""
 
@@ -89,7 +83,7 @@ class _VertexMap:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        g = _same_graph(self, other)
+        g = _same_graph(self, other, "+", type(self))
         return type(self)(g, [a + b for a, b in zip(self._values, other._values)])
 
     def __neg__(self):
@@ -109,7 +103,7 @@ class Divisor(_VertexMap):
 
     def contains(self, other: "Divisor") -> bool:
         """True when both divisors are effective and self - other is too."""
-        _same_graph(self, other)
+        _same_graph(self, other, "Divisor.contains")
         return (
             self.is_effective
             and other.is_effective
@@ -119,7 +113,7 @@ class Divisor(_VertexMap):
     def __sub__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
-        g = _same_graph(self, other)
+        g = _same_graph(self, other, "-")
         return Divisor(g, [a - b for a, b in zip(self._values, other._values)])
 
     def __mul__(self, scalar):
@@ -145,6 +139,24 @@ class FiringScript(_VertexMap):
         return FiringScript(self._graph, [v - lo for v in self._values])
 
 
+def _graph_of(divisor: object, operation: str, *, connected: bool = True, kind: type = Divisor) -> Graph:
+    """``divisor``'s graph, after the entry check of every public call that
+    takes one: a ``kind``, on a connected graph unless ``connected`` is false."""
+    if not isinstance(divisor, kind):
+        raise DomainError(f"{operation} expects a {kind.__name__}, got {type(divisor).__name__}")
+    if connected:
+        divisor._graph.require_connected(operation)
+    return divisor._graph
+
+
+def _same_graph(a: object, b: object, operation: str, kind: type = Divisor) -> Graph:
+    """The graph both operands of ``operation``, each a ``kind``, are bound to."""
+    graph = _graph_of(a, operation, connected=False, kind=kind)
+    if _graph_of(b, operation, connected=False, kind=kind) != graph:
+        raise DomainError("operands are bound to different graphs")
+    return graph
+
+
 # -- principal divisors ----------------------------------------------------
 
 
@@ -161,7 +173,8 @@ def _laplacian_image(graph: Graph, levels: Sequence[int]) -> list[int]:
 def apply_script(script: FiringScript) -> Divisor:
     """The degree-zero divisor produced by firing every vertex its level's
     number of times; invariant under adding a constant to the script."""
-    return Divisor(script.graph, _laplacian_image(script.graph, script.levels))
+    graph = _graph_of(script, "apply_script", connected=False, kind=FiringScript)
+    return Divisor(graph, _laplacian_image(graph, script.levels))
 
 
 def fire_set(graph: Graph, vertices: Iterable[str]) -> Divisor:
@@ -173,8 +186,8 @@ def fire_set(graph: Graph, vertices: Iterable[str]) -> Divisor:
     the zero divisor.
     """
     indicator = [0] * graph.vertex_count
-    for v in vertices:
-        indicator[graph.index(v)] = 1
+    for i in graph._indices(vertices):
+        indicator[i] = 1
     return Divisor(graph, _laplacian_image(graph, indicator))
 
 
@@ -188,8 +201,7 @@ def principal_script(divisor: Divisor) -> Optional[FiringScript]:
     """
     from .reduction import _debt_base, _reduce_indices
 
-    graph = divisor.graph
-    graph.require_connected("principal_script")
+    graph = _graph_of(divisor, "principal_script")
     if divisor.degree != 0:
         return None
     reduced, levels = _reduce_indices(graph, list(divisor.values), _debt_base(divisor.values))
@@ -204,12 +216,13 @@ def principal_script(divisor: Divisor) -> Optional[FiringScript]:
 def equivalence_script(d1: Divisor, d2: Divisor) -> Optional[FiringScript]:
     """A script x with d1 = d2 + firing(x), or None when d1 and d2 are not
     linearly equivalent."""
-    _same_graph(d1, d2)
+    _same_graph(d1, d2, "equivalence_script")
     return principal_script(d1 - d2)
 
 
 def equivalent(d1: Divisor, d2: Divisor) -> bool:
-    return equivalence_script(d1, d2) is not None
+    _same_graph(d1, d2, "equivalent")
+    return principal_script(d1 - d2) is not None
 
 
 def layer_decomposition(divisor: Divisor) -> tuple[frozenset[str], ...]:
@@ -218,6 +231,7 @@ def layer_decomposition(divisor: Divisor) -> tuple[frozenset[str], ...]:
 
     The first and last sets are nonempty; intermediate sets may be empty.
     """
+    ids = _graph_of(divisor, "layer_decomposition", connected=False).vertex_ids
     script = principal_script(divisor)
     if script is None:
         raise DomainError("divisor is not principal")
@@ -225,7 +239,6 @@ def layer_decomposition(divisor: Divisor) -> tuple[frozenset[str], ...]:
     top = max(levels)
     if top == 0:
         raise DomainError("layer decomposition is undefined for the zero divisor")
-    ids = divisor.graph.vertex_ids
     return tuple(
         frozenset(v for v, lv in zip(ids, levels) if lv == i) for i in range(top + 1)
     )
@@ -261,9 +274,10 @@ def _pointwise_values(graph: Graph, values: Sequence[int], scalar_map) -> tuple[
 
 def _pointwise(divisor: Divisor, scalar_map, operation: str) -> Divisor:
     """``scalar_map(value, weight + loops)`` at every vertex of an effective divisor."""
+    graph = _graph_of(divisor, operation, connected=False)
     if not divisor.is_effective:
         raise DomainError(f"{operation} is defined for effective divisors only")
-    return Divisor(divisor.graph, _pointwise_values(divisor.graph, divisor.values, scalar_map))
+    return Divisor(graph, _pointwise_values(graph, divisor.values, scalar_map))
 
 
 def degree_demand(divisor: Divisor) -> Divisor:
@@ -284,7 +298,7 @@ def rank_lower_bound(divisor: Divisor) -> int:
 
     Always a valid lower bound for the combinatorial rank.
     """
-    if not divisor.values:
+    if not _graph_of(divisor, "rank_lower_bound", connected=False).vertex_count:
         raise DomainError("rank_lower_bound needs a graph with at least one vertex")
     if not divisor.is_effective:
         return -1
@@ -294,7 +308,7 @@ def rank_lower_bound(divisor: Divisor) -> int:
 def lift_divisor(embedding: HatEmbedding, divisor: Divisor) -> Divisor:
     """Carry a divisor to the hat graph: unchanged on original vertices,
     zero on every fresh vertex.  Degree is preserved."""
-    if divisor.graph is not embedding.source and divisor.graph != embedding.source:
+    if _graph_of(divisor, "lift_divisor", connected=False) != embedding.source:
         raise DomainError("divisor is not bound to the embedding's source graph")
     if embedding.is_trivial:
         return divisor

@@ -13,10 +13,10 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DisconnectedError, DomainError, GraphError
+from .errors import DisconnectedError, DomainError, GraphError, quoted
 
-VertexSpec = Union[str, Sequence]
-EdgeSpec = Sequence
+VertexSpec = Union[str, tuple, list]
+EdgeSpec = Union[tuple, list]
 
 _second = operator.itemgetter(1)
 
@@ -26,7 +26,8 @@ class Graph:
 
     ``vertices`` is an iterable of ids or ``(id, weight)`` pairs; ``edges``
     an iterable of ``(a, b)`` or ``(a, b, multiplicity)`` with ``a == b``
-    meaning a loop.  Repeated edge entries accumulate multiplicity.
+    meaning a loop.  A pair or edge is a tuple (a namedtuple too) or a list.
+    Repeated edge entries accumulate multiplicity.
 
     The intersection pairing of two distinct vertices is the number of
     edges joining them; loops never contribute to it.  ``valency`` counts
@@ -56,14 +57,13 @@ class Graph:
         ids: list[str] = []
         weights: list[int] = []
         index: dict[str, int] = {}
-        for spec in vertices:
-            if isinstance(spec, str):
+        for spec in vertices:  # the exact tuple, the usual spec, is tested first
+            if (type(spec) is tuple or isinstance(spec, (tuple, list))) and len(spec) == 2:
+                vid, weight = spec
+            elif isinstance(spec, str):
                 vid, weight = spec, 0
             else:
-                try:
-                    vid, weight = spec
-                except (TypeError, ValueError):
-                    raise GraphError(f"bad vertex spec {spec!r}; expected id or (id, weight)") from None
+                raise GraphError(f"bad vertex spec {spec!r}; expected id or (id, weight)")
             if not isinstance(vid, str) or not vid:
                 raise GraphError(f"vertex id must be a non-empty string, got {vid!r}")
             if vid in index:
@@ -77,14 +77,11 @@ class Graph:
 
         loops = [0] * len(ids)
         adj: list[dict[int, int]] = [dict() for _ in ids]
-        for spec in edges:
-            if type(spec) is not tuple:  # a tuple, the usual spec, skips both tests
-                if isinstance(spec, str) or not isinstance(spec, Iterable):  # "ab" is not ("a", "b")
-                    raise GraphError(f"bad edge spec {spec!r}; expected (a, b) or (a, b, mult)")
-                spec = tuple(spec)
-            if len(spec) == 2:
+        for spec in edges:  # likewise; a string is no spec: "ab" is not ("a", "b")
+            size = len(spec) if type(spec) is tuple or isinstance(spec, (tuple, list)) else 0
+            if size == 2:
                 (a, b), mult = spec, 1
-            elif len(spec) == 3:
+            elif size == 3:
                 a, b, mult = spec
             else:
                 raise GraphError(f"bad edge spec {spec!r}; expected (a, b) or (a, b, mult)")
@@ -142,6 +139,12 @@ class Graph:
             return self._index[vertex]
         except KeyError:
             raise GraphError(f"unknown vertex id {vertex!r}") from None
+
+    def _indices(self, vertices: Iterable[str]) -> frozenset[int]:
+        """The indices of a vertex set; a string is refused, not read as its letters."""
+        if isinstance(vertices, str):
+            raise GraphError(f"expected a collection of vertex ids, got the string {quoted(vertices)}")
+        return frozenset(map(self.index, vertices))
 
     def has_vertex(self, vertex: str) -> bool:
         return vertex in self._index
@@ -233,8 +236,7 @@ class Graph:
 
         The two sets must be disjoint; loops never contribute.
         """
-        ai = frozenset(self.index(v) for v in a)
-        bi = frozenset(self.index(v) for v in b)
+        ai, bi = self._indices(a), self._indices(b)
         if ai & bi:
             raise DomainError("intersection requires disjoint vertex sets")
         if len(bi) < len(ai):
@@ -277,7 +279,7 @@ class Graph:
     def with_extra_edges(self, edges: Iterable[EdgeSpec]) -> "Graph":
         """A new graph with the same vertices and the given edges added."""
         existing = [(a, b, m) for (a, b), m in self.edge_items()]
-        return Graph(self.vertex_items, existing + [tuple(e) for e in edges])
+        return Graph(self.vertex_items, existing + list(edges))
 
     # -- equality -------------------------------------------------------
 

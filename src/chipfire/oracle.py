@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .divisor import Divisor, fire_set, iter_effective_values
+from .divisor import Divisor, _graph_of, fire_set, iter_effective_values
 from .errors import BudgetError, DomainError, FixtureError, InternalError, quoted
 from .graph import Graph
 
@@ -94,10 +94,9 @@ def brute_rank(divisor: Divisor) -> int:
     solver.  Exponential on purpose; budget-limited to 6 vertices and
     degree 8.
     """
-    graph = divisor.graph
+    graph = _graph_of(divisor, "brute_rank")
     if any(graph.weights) or any(graph._loops):
         raise DomainError("brute_rank handles weightless loopless graphs only")
-    graph.require_connected("brute_rank")
     n = graph.vertex_count
     if n > BRUTE_RANK_MAX_VERTICES:
         raise BudgetError(
@@ -126,7 +125,7 @@ def brute_is_reduced(divisor: Divisor, base: str) -> bool:
     """Literal reducedness test: effective off the base, and every nonempty
     vertex set avoiding the base contains a vertex with fewer chips than
     its edges to the outside.  Enumerates all 2^(n-1) - 1 subsets."""
-    graph = divisor.graph
+    graph = _graph_of(divisor, "brute_is_reduced", connected=False)
     n = graph.vertex_count
     if n > BRUTE_REDUCED_MAX_VERTICES:
         raise BudgetError(

@@ -61,6 +61,7 @@ from typing import Iterator, Optional
 
 from .divisor import (
     Divisor,
+    _graph_of,
     _pointwise_values,
     degree_for_rank,
     iter_effective_values,
@@ -106,9 +107,12 @@ class RankResult:
     method: str
 
 
-def _require_weightless_loopless(graph: Graph, operation: str) -> None:
+def _plain_graph_of(divisor: Divisor, operation: str) -> Graph:
+    """``_graph_of``, refusing a graph with weights or loops."""
+    graph = _graph_of(divisor, operation)
     if any(graph.weights) or any(graph._loops):
         raise DomainError(f"{operation} is defined on weightless loopless graphs; use rank()")
+    return graph
 
 
 def _level_count(k: int, n: int) -> int:
@@ -329,8 +333,7 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     and witness are the same either way.  Raises BudgetError when a level
     it needs has more than ``budget`` candidates, however it is decided.
     """
-    graph, values = divisor.graph, divisor.values
-    graph.require_connected("rank")
+    graph, values = _graph_of(divisor, "rank"), divisor.values
     weighted = any(graph._weights) or any(graph._loops)  # or looped; else its own hat
     hat = (graph._hat[0] if graph._hat else hat_graph(graph).target) if weighted else graph
     lifted = values + (0,) * (hat.vertex_count - graph.vertex_count)  # zero on fresh ones
@@ -364,9 +367,7 @@ def rank_geq(
     degree-k divisor whose subtraction leaves no effective representative,
     certified as ``rank``'s witness is, by a full reduction from the input.
     """
-    graph = divisor.graph
-    _require_weightless_loopless(graph, "rank_geq")
-    graph.require_connected("rank_geq")
+    graph = _plain_graph_of(divisor, "rank_geq")
     if k < 0:
         raise DomainError("rank_geq needs k >= 0")
     search = _Search(graph, divisor.values, budget)
@@ -389,8 +390,7 @@ def _explicit_indices(
 
 
 def _iter_rank_explicit(divisor: Divisor, caller: str) -> Iterator[str]:
-    graph, values = divisor.graph, divisor.values
-    graph.require_connected(caller)
+    graph, values = _graph_of(divisor, caller), divisor.values
     if divisor.is_effective:
         for i in _explicit_indices(graph, values, _pointwise_values(graph, values, rank_for_degree)):
             yield graph.vertex_ids[i]
@@ -430,8 +430,7 @@ def rank_lower_bound_certified(
     """
     if r < 0:
         raise DomainError("rank_lower_bound_certified needs r >= 0")
-    graph = divisor.graph
-    graph.require_connected("rank_lower_bound_certified")
+    graph = _graph_of(divisor, "rank_lower_bound_certified")
     n = graph.vertex_count
     _check_budget(r, n, budget)
     for e in iter_effective_values(r, n):
@@ -451,9 +450,7 @@ def saturation_bound(divisor: Divisor, base: str, saturation: Optional[Graph] = 
     built; a supplied graph is validated first.  Returns the divisor's
     minimum value plus the number of added edges.
     """
-    graph = divisor.graph
-    _require_weightless_loopless(graph, "saturation_bound")
-    graph.require_connected("saturation_bound")
+    graph = _plain_graph_of(divisor, "saturation_bound")
     if not divisor.is_effective:
         raise DomainError("saturation_bound needs an effective divisor")
     floor_value = rank_lower_bound(divisor)
@@ -473,8 +470,7 @@ def saturation_bound(divisor: Divisor, base: str, saturation: Optional[Graph] = 
 def riemann_roch_residual(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> int:
     """rank(d) - rank(K - d) - (deg d - genus + 1); zero on every connected
     graph."""
-    graph = divisor.graph
-    graph.require_connected("riemann_roch_residual")
+    graph = _graph_of(divisor, "riemann_roch_residual")
     # Riemann-Roch is what this checks, so neither side may be ranked by it
     direct = rank(divisor, budget=budget, exhaustive=True).rank
     residual_class = graph.canonical_divisor() - divisor
@@ -485,8 +481,7 @@ def riemann_roch_residual(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> 
 def clifford_check(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> bool:
     """rank <= floor(degree / 2) whenever 0 <= degree <= 2*genus - 2 and the
     rank is non-negative; vacuously true otherwise."""
-    graph = divisor.graph
-    graph.require_connected("clifford_check")
+    graph = _graph_of(divisor, "clifford_check")
     degree = divisor.degree
     if not 0 <= degree <= 2 * graph.genus() - 2:
         return True
@@ -532,8 +527,7 @@ def g0_comparison(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> tuple[in
 
     The first is always at least the second, and they are -1 together.
     """
-    graph = divisor.graph
-    graph.require_connected("g0_comparison")
+    graph = _graph_of(divisor, "g0_comparison")
     stripped = strip_weights_and_loops(graph)
     on_stripped = divisor if stripped is graph else Divisor(stripped, divisor.values)
     # ranked first, so that a BudgetError is the stripped graph's
@@ -546,8 +540,7 @@ def g0_comparison(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> tuple[in
 def bullet_rank_identity(divisor: Divisor, *, budget: int = DEFAULT_BUDGET) -> bool:
     """Rank is unchanged by subdividing every loop with a fresh vertex and
     extending the divisor by zero; returns the comparison outcome."""
-    graph = divisor.graph
-    graph.require_connected("bullet_rank_identity")
+    graph = _graph_of(divisor, "bullet_rank_identity")
     subdivided, _ = subdivide_loops(graph)
     if subdivided is graph:
         return True

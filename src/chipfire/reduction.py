@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DomainError, InternalError
-from .divisor import Divisor, FiringScript
+from .divisor import Divisor, FiringScript, _graph_of
 from .graph import Graph
 
 
@@ -274,20 +274,20 @@ def _debt_base(values: Sequence[int]) -> int:
     return values.index(low) if low < 0 else 0
 
 
-def _checked_base(divisor: Divisor, base: str, operation: str) -> int:
-    graph = divisor.graph
-    graph.require_connected(operation)
-    return graph.index(base)
+def _checked_base(divisor: Divisor, base: str, operation: str) -> tuple[Graph, int]:
+    """The divisor's connected graph and the base's index."""
+    graph = _graph_of(divisor, operation)
+    return graph, graph.index(base)
 
 
-def _checked_effective_off_base(divisor: Divisor, base: str, operation: str) -> int:
+def _checked_effective_off_base(divisor: Divisor, base: str, operation: str) -> tuple[Graph, int]:
     """``_checked_base``, refusing a divisor that is negative off the base."""
-    u = _checked_base(divisor, base, operation)
+    graph, u = _checked_base(divisor, base, operation)
     for v, x in enumerate(divisor.values):
         if x < 0 and v != u:
-            vid = divisor.graph.vertex_ids[v]
+            vid = graph.vertex_ids[v]
             raise DomainError(f"divisor is negative at {vid!r}; only the base may be negative")
-    return u
+    return graph, u
 
 
 def dhar(divisor: Divisor, base: str) -> DharDecomposition:
@@ -296,8 +296,7 @@ def dhar(divisor: Divisor, base: str) -> DharDecomposition:
     Requires the divisor to be effective away from the base.  The result
     depends only on the loop-stripped weightless graph.
     """
-    graph = divisor.graph
-    u = _checked_effective_off_base(divisor, base, "dhar")
+    graph, u = _checked_effective_off_base(divisor, base, "dhar")
     layers, unburned = _dhar_indices(graph, divisor.values, u)
     ids = graph.vertex_ids
     return DharDecomposition(
@@ -309,8 +308,7 @@ def dhar(divisor: Divisor, base: str) -> DharDecomposition:
 def is_reduced(divisor: Divisor, base: str) -> bool:
     """True when the divisor is effective off the base and the burn from the
     base consumes the whole graph."""
-    graph = divisor.graph
-    u = _checked_base(divisor, base, "is_reduced")
+    graph, u = _checked_base(divisor, base, "is_reduced")
     if any(x < 0 for v, x in enumerate(divisor.values) if v != u):
         return False
     return max(_burn(graph, divisor.values, u)) < 0
@@ -323,8 +321,7 @@ def reduce_divisor(divisor: Divisor, base: str) -> tuple[Divisor, FiringScript]:
     Idempotent: reducing an already reduced divisor returns it unchanged
     together with the zero script.
     """
-    graph = divisor.graph
-    u = _checked_base(divisor, base, "reduce_divisor")
+    graph, u = _checked_base(divisor, base, "reduce_divisor")
     values, levels = _reduce_indices(graph, list(divisor.values), u)
     return Divisor(graph, values), FiringScript(graph, levels).normalized()
 
@@ -341,8 +338,7 @@ def saturate(divisor: Divisor, base: str) -> tuple[Graph, int]:
     Returns the saturated graph and the number of added edges counted
     with multiplicity.  Minimal saturations are not sought.
     """
-    graph = divisor.graph
-    u = _checked_effective_off_base(divisor, base, "saturate")
+    graph, u = _checked_effective_off_base(divisor, base, "saturate")
     extra = [
         (base, graph.vertex_ids[v], divisor.values[v])
         for v, r in enumerate(_burn(graph, divisor.values, u))
@@ -358,11 +354,11 @@ def is_saturation(original: Graph, candidate: Graph, divisor: Divisor, base: str
     """Check the three saturation conditions: the original is a spanning
     subgraph of the candidate, every extra edge touches the base, and the
     divisor is base-reduced on the candidate."""
-    if not isinstance(candidate, Graph):
-        raise DomainError(f"expected a Graph, got {type(candidate).__name__}")
-    if divisor.graph != original:
+    for graph in (original, candidate):
+        if not isinstance(graph, Graph):
+            raise DomainError(f"expected a Graph, got {type(graph).__name__}")
+    if _graph_of(divisor, "is_saturation") != original:
         raise DomainError("divisor is not bound to the original graph")
-    original.require_connected("is_saturation")
     if candidate.vertex_items != original.vertex_items:
         return False
     original.index(base)  # an unknown base raises before any edge is compared

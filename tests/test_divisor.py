@@ -540,6 +540,48 @@ def test_vertex_map_input_checks(dhar5, make, message):
     assert str(info.value) == message
 
 
+# every public call that takes a divisor (a firing script for apply_script),
+# each handed a string there
+_WRONG_TYPE_CALLS = {
+    "rank": lambda g, d: cf.rank("x"),
+    "rank_geq": lambda g, d: cf.rank_geq("x", 0),
+    "rank_explicit_vertices": lambda g, d: cf.rank_explicit_vertices("x"),
+    "rank_explicit_vertex": lambda g, d: cf.rank_explicit_vertex("x"),
+    "rank_lower_bound_certified": lambda g, d: cf.rank_lower_bound_certified("x", 0),
+    "saturation_bound": lambda g, d: cf.saturation_bound("x", "a"),
+    "riemann_roch_residual": lambda g, d: cf.riemann_roch_residual("x"),
+    "clifford_check": lambda g, d: cf.clifford_check("x"),
+    "g0_comparison": lambda g, d: cf.g0_comparison("x"),
+    "bullet_rank_identity": lambda g, d: cf.bullet_rank_identity("x"),
+    "principal_script": lambda g, d: cf.principal_script("x"),
+    "brute_rank": lambda g, d: cf.brute_rank("x"),
+    "dhar": lambda g, d: cf.dhar("x", "a"),
+    "is_reduced": lambda g, d: cf.is_reduced("x", "a"),
+    "reduce_divisor": lambda g, d: cf.reduce_divisor("x", "a"),
+    "saturate": lambda g, d: cf.saturate("x", "a"),
+    "is_saturation": lambda g, d: cf.is_saturation(g, g, "x", "a"),
+    "degree_demand": lambda g, d: cf.degree_demand("x"),
+    "rank_capacity": lambda g, d: cf.rank_capacity("x"),
+    "rank_lower_bound": lambda g, d: cf.rank_lower_bound("x"),
+    "lift_divisor": lambda g, d: cf.lift_divisor(cf.hat_graph(g), "x"),
+    "brute_is_reduced": lambda g, d: cf.brute_is_reduced("x", "a"),
+    "equivalence_script": lambda g, d: cf.equivalence_script("x", d),
+    "equivalent": lambda g, d: cf.equivalent(d, "x"),
+    "Divisor.contains": lambda g, d: d.contains("x"),
+    "apply_script": lambda g, d: cf.apply_script("x"),
+    "layer_decomposition": lambda g, d: cf.layer_decomposition("x"),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRONG_TYPE_CALLS))
+def test_calls_refuse_a_divisor_argument_of_another_type(name):
+    g = cf.Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    with pytest.raises(cf.DomainError) as info:
+        _WRONG_TYPE_CALLS[name](g, cf.Divisor(g))
+    kind = "FiringScript" if name == "apply_script" else "Divisor"
+    assert str(info.value) == f"{name} expects a {kind}, got str"
+
+
 def test_vertex_map_hash_and_repr(dhar5):
     g = dhar5.graph
     d = cf.Divisor(g, (0, 1, 0, -2, 0))

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -542,6 +543,12 @@ def test_hat_target_is_plain_with_degree_two_midpoints(g):
         # nor is anything else that is no sequence
         (["a"], [5], "bad edge spec 5; expected (a, b) or (a, b, mult)"),
         (["a"], [None], "bad edge spec None; expected (a, b) or (a, b, mult)"),
+        # a dict or set is no spec either: a dict would give its keys, a set
+        # its items in hash order
+        (["a", "b"], [{"a": 1, "b": 2}], "bad edge spec {'a': 1, 'b': 2}; expected (a, b) or (a, b, mult)"),
+        (["a", "b"], [{("a", "b")}], "bad edge spec {('a', 'b')}; expected (a, b) or (a, b, mult)"),
+        ([{"a": 1, "b": 2}], [], "bad vertex spec {'a': 1, 'b': 2}; expected id or (id, weight)"),
+        ([{("a", 1)}], [], "bad vertex spec {('a', 1)}; expected id or (id, weight)"),
     ],
 )
 def test_graph_input_checks(vertices, edges, message):
@@ -553,6 +560,30 @@ def test_graph_input_checks(vertices, edges, message):
 def test_graph_takes_list_edge_specs():
     listed = cf.Graph(["a", "b"], [["a", "b"], ["a", "b", 2], ["b", "b"]])
     assert listed == cf.Graph(["a", "b"], [("a", "b", 3), ("b", "b")])
+
+
+def test_graph_takes_list_vertex_specs_and_namedtuple_specs():
+    Edge = collections.namedtuple("Edge", "a b mult")
+    Vertex = collections.namedtuple("Vertex", "id weight")
+    expected = cf.Graph([("a", 1), "b"], [("a", "b", 2), ("a", "a", 1)])
+    assert cf.Graph([["a", 1], "b"], [["a", "b", 2], ["a", "a"]]) == expected
+    assert cf.Graph([Vertex("a", 1), "b"], [Edge("a", "b", 2), Edge("a", "a", 1)]) == expected
+    assert expected.with_extra_edges([Edge("a", "b", 1), ["b", "b"]]) == cf.Graph(
+        [("a", 1), "b"], [("a", "b", 3), ("a", "a"), ("b", "b")]
+    )
+
+
+def test_vertex_sets_refuse_a_string():
+    # "ab" is not the vertex set {"a", "b"}, as it is not the edge ("a", "b")
+    g = cf.Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    message = "expected a collection of vertex ids, got the string 'ab'"
+    for call in (lambda: g.intersection("ab", "c"), lambda: g.intersection({"c"}, "ab"),
+                 lambda: cf.fire_set(g, "ab")):
+        with pytest.raises(cf.GraphError) as info:
+            call()
+        assert str(info.value) == message
+    assert g.intersection({"a", "b"}, {"c"}) == 2
+    assert cf.fire_set(g, ["a", "b"]) == cf.Divisor(g, {"a": -1, "b": -1, "c": 2})
 
 
 def test_graph_repr(dhar5):

@@ -759,6 +759,20 @@ def test_rank_explicit_vertex_stops_at_first_hit(monkeypatch):
     assert len(calls) == n
 
 
+def test_plain_graph_calls_check_connectivity_before_weights():
+    # one entry check comes first for every call: a disconnected weighted
+    # graph is refused as disconnected
+    d = cf.Divisor(cf.Graph([("a", 1), "b"]))
+    calls = {
+        "rank_geq": lambda: cf.rank_geq(d, 0),
+        "saturation_bound": lambda: cf.saturation_bound(d, "a"),
+        "brute_rank": lambda: cf.brute_rank(d),
+    }
+    for name, call in calls.items():
+        with pytest.raises(cf.DisconnectedError, match=rf"^{name} requires a connected graph$"):
+            call()
+
+
 def test_rank_explicit_errors_name_their_entry_point():
     zero = cf.Divisor(cf.Graph(["a", "b"]))
     for entry in (cf.rank_explicit_vertex, cf.rank_explicit_vertices):

@@ -468,6 +468,12 @@ def test_is_saturation_refuses_a_candidate_that_is_no_graph(dhar5):
     assert str(info.value) == "expected a Graph, got str"
 
 
+def test_is_saturation_refuses_an_original_that_is_no_graph(dhar5):
+    with pytest.raises(cf.DomainError) as info:
+        cf.is_saturation("x", dhar5.graph, dhar5.divisors["example"], "v0")
+    assert str(info.value) == "expected a Graph, got str"
+
+
 def test_saturate_rejects_negative_off_base(dhar5):
     d = cf.Divisor(dhar5.graph, {"v1": -1})
     with pytest.raises(cf.DomainError):
