@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, InternalError
-from .graph import Graph, HatEmbedding
+from .graph import Graph, HatEmbedding, _checked
 
 Values = Union[Mapping[str, int], Sequence[int]]
 
@@ -142,11 +142,10 @@ class FiringScript(_VertexMap):
 def _graph_of(divisor: object, operation: str, *, connected: bool = True, kind: type = Divisor) -> Graph:
     """``divisor``'s graph, after the entry check of every public call that
     takes one: a ``kind``, on a connected graph unless ``connected`` is false."""
-    if not isinstance(divisor, kind):
-        raise DomainError(f"{operation} expects a {kind.__name__}, got {type(divisor).__name__}")
+    graph = _checked(divisor, operation, kind)._graph
     if connected:
-        divisor._graph.require_connected(operation)
-    return divisor._graph
+        graph.require_connected(operation)
+    return graph
 
 
 def _same_graph(a: object, b: object, operation: str, kind: type = Divisor) -> Graph:
@@ -185,7 +184,7 @@ def fire_set(graph: Graph, vertices: Iterable[str]) -> Divisor:
     their edge count into the set.  Firing the empty set or all of V gives
     the zero divisor.
     """
-    indicator = [0] * graph.vertex_count
+    indicator = [0] * _checked(graph, "fire_set", Graph).vertex_count
     for i in graph._indices(vertices):
         indicator[i] = 1
     return Divisor(graph, _laplacian_image(graph, indicator))
@@ -308,6 +307,7 @@ def rank_lower_bound(divisor: Divisor) -> int:
 def lift_divisor(embedding: HatEmbedding, divisor: Divisor) -> Divisor:
     """Carry a divisor to the hat graph: unchanged on original vertices,
     zero on every fresh vertex.  Degree is preserved."""
+    _checked(embedding, "lift_divisor", HatEmbedding)
     if _graph_of(divisor, "lift_divisor", connected=False) != embedding.source:
         raise DomainError("divisor is not bound to the embedding's source graph")
     if embedding.is_trivial:

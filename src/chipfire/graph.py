@@ -10,6 +10,7 @@ edge-augmented) are new values, and a graph keeps its hat once built.
 from __future__ import annotations
 
 import operator
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -19,6 +20,17 @@ VertexSpec = Union[str, tuple, list]
 EdgeSpec = Union[tuple, list]
 
 _second = operator.itemgetter(1)
+
+
+def _checked(value, operation: str, kind):
+    """``value``, after the type check of every public call's graph,
+    embedding, divisor or script argument: a ``DomainError`` naming
+    ``operation`` unless it is a ``kind`` (a type or a tuple of types)."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in kind) if isinstance(kind, tuple) else kind.__name__
+        article = "an" if names[0] in "AEIOU" else "a"
+        raise DomainError(f"{operation} expects {article} {names}, got {type(value).__name__}")
+    return value
 
 
 class Graph:
@@ -54,6 +66,9 @@ class Graph:
     )
 
     def __init__(self, vertices: Iterable[VertexSpec], edges: Iterable[EdgeSpec] = ()):
+        for specs in (vertices, edges):
+            if type(specs) is not list:  # the usual argument is tested first
+                _checked(specs, "Graph", abc.Iterable)
         ids: list[str] = []
         weights: list[int] = []
         index: dict[str, int] = {}
@@ -359,6 +374,7 @@ def hat_graph(graph: Graph) -> HatEmbedding:
     graph builds its hat once and keeps the target and fresh-vertex map,
     which do not refer back to it.  Each call returns its own ``added``.
     """
+    _checked(graph, "hat_graph", Graph)
     if graph._hat is None:
         genera = [w + loops for w, loops in zip(graph._weights, graph._loops)]
         if not any(genera):
@@ -373,6 +389,7 @@ def strip_weights_and_loops(graph: Graph) -> Graph:
     This map does not preserve the combinatorial rank; it is the cheap
     simplification against which rank comparisons are made.
     """
+    _checked(graph, "strip_weights_and_loops", Graph)
     if not any(graph.weights) and not any(graph._loops):
         return graph
     zeros = [0] * graph.vertex_count
@@ -385,6 +402,7 @@ def subdivide_loops(graph: Graph) -> tuple[Graph, dict[str, tuple[str, ...]]]:
     Weights are untouched and the genus is preserved.  Returns the new
     graph and the map from each original vertex to its fresh midpoints.
     """
+    _checked(graph, "subdivide_loops", Graph)
     if not any(graph._loops):
         return graph, {v: () for v in graph.vertex_ids}
     return _hang_fresh(graph, graph.weights, graph._loops)

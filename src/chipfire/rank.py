@@ -37,17 +37,27 @@ than enumerating its tuples.  Otherwise, and always at the failing level
 tuples are enumerated, under a budget on each level's candidate count.
 
 One search is one ``_Search``: the hat graph (``hat_graph`` builds it once
-per weighted or looped graph), the values, their base and base-reduced
-representative (computed once), the budget, and a memo of class steps.
+per weighted or looped graph), the values, their degree, base and
+base-reduced representative (computed once), the budget, and a memo of
+class steps.
 ``rank`` and ``rank_geq`` each build one, and the Riemann-Roch route one
 more for the dual.  Its level scan walks the level's prefix tree in lex
 order (``_Search._walk``) with one loop body for every vertex, one class
 step c - v (``_child``) per chip put on v; the last vertex takes the
 chips left.  Only a step at an empty vertex off the base needs work, and
 borrowing settles it with no burn.  The witness is certified by the full
-reduction, which for the zero witness is the search's first one.  The
-memo keeps the steps' answers for the search's levels and class
-expansion, and goes with the search: no step is settled twice in one
+reduction, which for the zero witness is the search's first one.
+
+A class is held as its part off the base (its values, with 0 at the base)
+and its base value, an int.  The base is the sink of every borrowing: it
+never borrows and a step never reads it, so a step at the base only
+lowers the int, and a step elsewhere depends on the part alone.  A class
+fails exactly when its base value drops below 0, and a level's classes,
+all of one degree, are kept as parts.  The memo keys a borrowed step by
+``(part, v)`` and keeps the child's part and the chips the base lost, so
+one entry serves every level and every class expansion of the search:
+each level's classes include the previous level's parts, one chip lower
+at the base.  It goes with the search: no step is settled twice in one
 search and none from another, so two representatives take two searches.
 """
 
@@ -88,8 +98,9 @@ METHOD_RANK_EXPLICIT = "rank-explicit"
 METHOD_REDUCED_NEGATIVE = "reduced-negative"
 METHOD_RIEMANN_ROCH = "riemann-roch"
 
-# one search's borrowed ``_child`` steps: (class, vertex) -> child class or None
-_Memo = dict[tuple[tuple[int, ...], int], Optional[tuple[int, ...]]]
+# one search's borrowed ``_child`` steps: (part off the base, vertex) ->
+# (child's part off the base, chips the base lost)
+_Memo = dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]
 
 
 @dataclass(frozen=True)
@@ -136,11 +147,14 @@ def _child(
     graph: Graph,
     base: int,
     memo: _Memo,
-    c: tuple[int, ...],
+    part: tuple[int, ...],
     v: int,
-) -> Optional[tuple[int, ...]]:
-    """The base-reduced class of c - v for a base-reduced effective class
-    c, or None when that class is negative at the base.
+) -> tuple[tuple[int, ...], int]:
+    """The step c - v for a base-reduced class c that is effective off the
+    base, given and returned as a part off the base (the values, with 0 at
+    the base): ``(child, lost)``, the base-reduced class of c - v off the
+    base and the chips its base value is lower than c's.  c - v has an
+    effective representative exactly when c's base value is >= ``lost``.
 
     c - v is already base-reduced when v is the base or c(v) > 0:
     subtracting a chip where there is one keeps c effective off the base
@@ -153,21 +167,24 @@ def _child(
     that sandpile plus a grain at v; borrowing, which topples a vertex in
     debt, is its stabilization; and a recurrent sandpile plus a grain
     stabilizes to a recurrent one, so the result is superstable again,
-    that is base-reduced.  ``memo`` keeps these answers for the rest of
-    the search, keyed by ``(c, v)``."""
-    if c[v] or v == base:
-        child = list(c)
+    that is base-reduced.  The sink never borrows and is never read, only
+    lowered by what its neighbours borrow, so the step does not depend on
+    c's base value, and ``memo`` keeps its answer, keyed by ``(part, v)``,
+    for every level of the search."""
+    if v == base:
+        return part, 1
+    if part[v]:
+        child = list(part)
         child[v] -= 1
-        return tuple(child) if child[base] >= 0 else None
-    key = c, v
-    # the memo holds tuples and None, so False marks a step not taken yet
-    found = memo.get(key, False)
-    if found is not False:
-        return found
-    child = list(c)
-    child[v] = -1
-    _borrow(graph, child, base, deque((v,)), None)
-    found = memo[key] = tuple(child) if child[base] >= 0 else None
+        return tuple(child), 0
+    key = part, v
+    found = memo.get(key)
+    if found is None:
+        child = list(part)
+        child[v] = -1
+        _borrow(graph, child, base, deque((v,)), None)
+        lost, child[base] = -child[base], 0
+        found = memo[key] = tuple(child), lost
     return found
 
 
@@ -175,18 +192,24 @@ class _Search:
     """One search for the first failing level of ``values`` on the
     weightless loopless ``graph``, under ``budget``.
 
-    The base and the values' base-reduced representative are computed
-    once, when the search is built.  ``memo`` holds the search's borrowed
-    ``_child`` steps, shared by its levels and by the class expansion, and
-    is dropped with the search."""
+    The degree, the base and the values' base-reduced representative, as
+    its part off the base (``part``, where every level scan starts) and its
+    base value (``base_value``), are computed once, when the search is
+    built.  ``memo`` holds the search's borrowed ``_child`` steps, keyed by
+    part off the base and vertex, shared by its levels and by the class
+    expansion, and is dropped with the search."""
 
-    __slots__ = ("graph", "values", "base", "base_reduced", "budget", "memo")
+    __slots__ = ("graph", "values", "degree", "base", "part", "base_value", "budget", "memo")
 
     def __init__(self, graph: Graph, values: tuple[int, ...], budget: int):
         self.graph = graph
         self.values = values
+        self.degree = sum(values)
         self.base = _debt_base(values)
-        self.base_reduced = tuple(_reduce_indices(graph, list(values), self.base)[0])
+        reduced = _reduce_indices(graph, list(values), self.base)[0]
+        self.base_value = reduced[self.base]
+        reduced[self.base] = 0
+        self.part = tuple(reduced)
         self.budget = budget
         self.memo: _Memo = {}
 
@@ -206,18 +229,24 @@ class _Search:
                 raise InternalError("no failing divisor found one degree above the computed rank")
             k += 1
 
-    def expand_classes(self, previous: set[tuple[int, ...]]) -> Optional[set[tuple[int, ...]]]:
-        """The base-reduced classes c - v for every class c in ``previous``
-        and every vertex v, or None at the first one that is negative at the
-        base; each is one ``_child`` step, answered from the memo when the
-        level scan or an earlier expansion of this search already took it."""
+    def expand_classes(
+        self, previous: set[tuple[int, ...]], degree: int
+    ) -> Optional[set[tuple[int, ...]]]:
+        """The classes c - v for every class c in ``previous`` and every
+        vertex v, or None at the first one with no effective representative;
+        each is one ``_child`` step, answered from the memo when the level
+        scan or an earlier expansion of this search already took it.  A class
+        is its part off the base: the classes of ``previous`` have degree
+        ``degree``, so each one's base value is ``degree`` minus its part's
+        sum."""
         graph, base, memo = self.graph, self.base, self.memo
         n = graph.vertex_count
         children = set()
-        for c in previous:
+        for part in previous:
+            b = degree - sum(part)
             for v in range(n):
-                child = _child(graph, base, memo, c, v)
-                if child is None:
+                child, lost = _child(graph, base, memo, part, v)
+                if b < lost:
                     return None
                 children.add(child)
         return children
@@ -230,9 +259,11 @@ class _Search:
         ``failing`` is the first (lex order) effective degree-k tuple e for
         which the class of the base-reduced values minus e has no effective
         representative, or None when there is none.  ``classes`` is the set
-        of the level's classes as base-reduced tuples when the level passes
-        and the set stayed small enough to be worth expanding, otherwise
-        None.
+        of the level's classes when the level passes and the set stayed
+        small enough to be worth expanding, otherwise None.  A class is held
+        as its base-reduced values off the base, with 0 at the base: every
+        class of the level has the degree of the values minus k, which fixes
+        its base value.
 
         ``previous`` is the classes of the degree-(k-1) level.  When
         expanding them by every vertex costs less than enumerating the
@@ -241,76 +272,77 @@ class _Search:
         is the same either way.  The budget counts the level's candidates in
         both cases.
         """
-        base, base_reduced = self.base, self.base_reduced
-        n = self.graph.vertex_count
+        degree, n = self.degree, self.graph.vertex_count
         count = _check_budget(k, n, self.budget)
-        if sum(base_reduced) - k < 0:
+        if degree - k < 0:
             # every class at this level has negative degree, so every candidate
             # fails; the lex-smallest is all mass on the last vertex
             return (0,) * (n - 1) + (k,), None
         if previous is not None and len(previous) * n < count:
-            children = self.expand_classes(previous)
+            children = self.expand_classes(previous, degree - k + 1)
             if children is not None:
                 return None, children
         if n == 1:
             # the one candidate (k,) passes: its class, the values minus k, has
             # degree >= 0, and nothing on one vertex fires
-            return None, {(base_reduced[0] - k,)}
-        start = base_reduced if base_reduced[base] >= 0 else None
+            return None, {self.part}
         # past this many classes, expanding them costs more than enumerating
         # the next level
         limit = _level_count(k + 1, n) // n
         classes: set[tuple[int, ...]] = set()
-        failing = self._walk(0, start, k, [0] * n, classes, limit)
+        failing = self._walk(0, self.part, self.base_value, k, [0] * n, classes, limit)
         if failing is not None:
             return failing, None
         return None, classes if len(classes) <= limit else None
 
     def _walk(
-        self, t: int, c: Optional[tuple[int, ...]], m: int, e: list[int], classes: set, limit: int
+        self, t: int, part: tuple[int, ...], b: int, m: int, e: list[int], classes: set, limit: int
     ) -> Optional[tuple[int, ...]]:
         """The first failing tuple with the prefix ``e[:t]``, or None.
 
-        ``c`` is the class of the values minus that prefix (None when it
-        has no effective representative) and ``m`` the chips left.  Before
-        the last vertex the walk tries ``e[t] = 0..m``, taking one
-        ``_child`` step at t between two tries; the last vertex takes all
-        ``m`` chips, one step each, and the tuple's class joins ``classes``
-        until they number more than ``limit``.  A prefix class that is None
-        fails every extension: it is carried down to the subtree's first
-        tuple, which is the lex-first failing tuple, so no step is taken
-        from a None class.
+        ``part`` and ``b`` are the class of the values minus that prefix,
+        off the base and at it (``b < 0`` when it has no effective
+        representative), and ``m`` the chips left.  Before the last vertex
+        the walk tries ``e[t] = 0..m``, taking one ``_child`` step at t
+        between two tries; the last vertex takes all ``m`` chips, one step
+        each, and the tuple's class joins ``classes`` until they number more
+        than ``limit``.  A prefix class with ``b < 0`` fails every
+        extension: it is carried down to the subtree's first tuple, which is
+        the lex-first failing tuple, so no step is taken from a failing
+        class.
         """
         graph, base, memo = self.graph, self.base, self.memo
         if t < len(e) - 1:
             for a in range(m + 1):
                 if a:
-                    c = _child(graph, base, memo, c, t)
+                    part, lost = _child(graph, base, memo, part, t)
+                    b -= lost
                 e[t] = a
-                failing = self._walk(t + 1, c, m - a, e, classes, limit)
+                failing = self._walk(t + 1, part, b, m - a, e, classes, limit)
                 if failing is not None:
                     return failing
             return None
         for _ in range(m):
-            if c is None:
+            if b < 0:
                 break
-            c = _child(graph, base, memo, c, t)
-        if c is None:
+            part, lost = _child(graph, base, memo, part, t)
+            b -= lost
+        if b < 0:
             e[t] = m
             return tuple(e)
         if len(classes) <= limit:
-            classes.add(c)
+            classes.add(part)
         return None
 
     def certify(self, failing: tuple[int, ...]) -> Divisor:
         """The failing tuple as a divisor, after re-running its check from
         the values rather than their base-reduced representative, which is
         the zero tuple's check, run once already when the search was built."""
-        reduced = self.base_reduced
+        value = self.base_value
         if any(failing):
             check = [a - b for a, b in zip(self.values, failing)]
-            reduced, _ = _reduce_indices(self.graph, check, self.base)
-        if reduced[self.base] >= 0:
+            value = _reduce_indices(self.graph, check, self.base)[0][self.base]
+        if value >= 0:
             raise InternalError("witness failed its certification re-run")
         return Divisor(self.graph, failing)
 
@@ -340,7 +372,7 @@ def rank(divisor: Divisor, *, budget: int = DEFAULT_BUDGET, exhaustive: bool = F
     search = _Search(hat, lifted, budget)
     if exhaustive:
         method, k = METHOD_EXHAUSTIVE, 0
-    elif search.base_reduced[search.base] < 0:
+    elif search.base_value < 0:
         method, k = METHOD_REDUCED_NEGATIVE, 0
     elif (
         divisor.is_effective

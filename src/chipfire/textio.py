@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .divisor import Divisor, FiringScript
 from .errors import ParseError, quoted
-from .graph import Graph
+from .graph import Graph, _checked
 
 _ID = re.compile(r"[A-Za-z0-9_-]+\Z")
 _INT = re.compile(r"[+-]?[0-9]+\Z")
@@ -124,6 +124,7 @@ def parse_graph(text: str) -> GraphDocument:
 def render_graph(graph: Graph) -> str:
     """Serialize a graph to the line format; parsing it back reproduces the
     graph exactly when its ids match the grammar (no derived, dotted ids)."""
+    _checked(graph, "render_graph", Graph)
     lines = []
     for vid, weight in graph.vertex_items:
         lines.append(f"v {vid} {weight}" if weight else f"v {vid}")
@@ -135,6 +136,7 @@ def render_graph(graph: Graph) -> str:
 def parse_divisor(text: str, graph: Graph) -> Divisor:
     """Parse a comma-separated ``id=int`` literal against a graph; omitted
     vertices are zero and the empty string is the zero divisor."""
+    _checked(graph, "parse_divisor", Graph)
     values: dict[str, int] = {}
     for chunk in text.split(","):
         entry = chunk.strip()
@@ -156,4 +158,5 @@ def parse_divisor(text: str, graph: Graph) -> Divisor:
 def render_divisor(divisor: Divisor | FiringScript) -> str:
     """The canonical literal: nonzero entries in vertex order; empty for the
     zero divisor.  Firing scripts render the same way."""
+    _checked(divisor, "render_divisor", (Divisor, FiringScript))
     return ",".join(f"{v}={x}" for v, x in divisor.nonzero_items())

@@ -582,6 +582,38 @@ def test_calls_refuse_a_divisor_argument_of_another_type(name):
     assert str(info.value) == f"{name} expects a {kind}, got str"
 
 
+# every public call that takes a graph, a hat embedding, a divisor or script
+# to render, or the vertex and edge collections of a new graph, each handed
+# a value of another type there, with the refusal it must raise
+_WRONG_GRAPH_CALLS = {
+    "fire_set": (lambda d: cf.fire_set("x", []), "fire_set expects a Graph, got str"),
+    "hat_graph": (lambda d: cf.hat_graph("x"), "hat_graph expects a Graph, got str"),
+    "strip_weights_and_loops": (
+        lambda d: cf.strip_weights_and_loops("x"),
+        "strip_weights_and_loops expects a Graph, got str",
+    ),
+    "subdivide_loops": (lambda d: cf.subdivide_loops("x"), "subdivide_loops expects a Graph, got str"),
+    "render_graph": (lambda d: cf.render_graph("x"), "render_graph expects a Graph, got str"),
+    "parse_divisor": (lambda d: cf.parse_divisor("a=1", "x"), "parse_divisor expects a Graph, got str"),
+    "lift_divisor": (lambda d: cf.lift_divisor("x", d), "lift_divisor expects a HatEmbedding, got str"),
+    "render_divisor": (
+        lambda d: cf.render_divisor("x"),
+        "render_divisor expects a Divisor or FiringScript, got str",
+    ),
+    "Graph vertices": (lambda d: cf.Graph(5), "Graph expects an Iterable, got int"),
+    "Graph edges": (lambda d: cf.Graph(["a"], 5), "Graph expects an Iterable, got int"),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRONG_GRAPH_CALLS))
+def test_calls_refuse_a_graph_argument_of_another_type(name):
+    g = cf.Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    call, message = _WRONG_GRAPH_CALLS[name]
+    with pytest.raises(cf.DomainError) as info:
+        call(cf.Divisor(g))
+    assert str(info.value) == message
+
+
 def test_vertex_map_hash_and_repr(dhar5):
     g = dhar5.graph
     d = cf.Divisor(g, (0, 1, 0, -2, 0))

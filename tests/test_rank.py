@@ -92,6 +92,28 @@ def test_rank_geq_agrees_with_rank():
     assert checked >= 300
 
 
+def test_rank_geq_past_the_degree_takes_no_class_step(dhar5, monkeypatch):
+    # for k > deg D every class of level k has negative degree, so the
+    # lex-first candidate, all k chips on the last vertex, fails with no
+    # class step, however many candidates the level has
+    rank_module = importlib.import_module("chipfire.rank")
+    child = rank_module._child
+    steps = []
+
+    def counting(*args):
+        steps.append(args)
+        return child(*args)
+
+    monkeypatch.setattr(rank_module, "_child", counting)
+    path = cf.Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    for divisor, k in ((dhar5.divisors["example"], 12), (cf.Divisor(path), 1), (cf.Divisor(path), 40)):
+        assert 0 <= divisor.degree < k
+        ok, witness = cf.rank_geq(divisor, k)
+        n = divisor.graph.vertex_count
+        assert not ok and witness.values == (0,) * (n - 1) + (k,)
+    assert steps == []
+
+
 def test_rank_geq_rejects_weighted_or_looped(weighted_binary):
     with pytest.raises(cf.DomainError):
         cf.rank_geq(weighted_binary.divisors["example"], 1)
@@ -379,8 +401,8 @@ def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
     spanning_trees = {}
     decided_from_classes = 0
 
-    def counting(search, previous):
-        children = expand(search, previous)
+    def counting(search, previous, degree):
+        children = expand(search, previous, degree)
         expansions.append(children)
         return children
 
@@ -388,7 +410,7 @@ def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
         graph = search.graph
         return {
             cf.reduce_divisor(
-                cf.Divisor(graph, search.base_reduced) - cf.Divisor(graph, e),
+                cf.Divisor(graph, search.values) - cf.Divisor(graph, e),
                 graph.vertex_ids[search.base],
             )[0].values
             for e in cf.iter_effective_values(k, graph.vertex_count)
@@ -403,7 +425,7 @@ def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
         failing, classes = scan(search, k, previous)
         from_classes = failing is None and len(expansions) > before and expansions[-1] is not None
         if classes is not None:
-            assert classes == level_classes(search, k)
+            assert _with_base_values(search, k, classes) == level_classes(search, k)
             assert len(classes) <= spanning_trees[graph]
         # the search's memo answers exactly what a fresh one would
         fresh = search_type(graph, search.values, search.budget)
@@ -430,13 +452,23 @@ def test_scan_level_frontier_agrees_with_enumeration(monkeypatch):
     assert decided_from_classes > 0
 
 
+def _with_base_values(search, k, parts):
+    """A level's classes as whole base-reduced tuples: each part off the base,
+    which must be 0 at the base, with the base value that the level's degree
+    implies put back."""
+    if parts is None:
+        return None
+    base, degree = search.base, sum(search.values) - k
+    assert all(part[base] == 0 for part in parts)
+    return {part[:base] + (degree - sum(part),) + part[base + 1:] for part in parts}
+
+
 def _reference_scan(search, k):
     """``(failing, classes)`` of the degree-k level of a search, reducing
-    its base-reduced values minus each tuple from scratch with
-    ``reduce_divisor``; the class set is None past ``scan_level``'s limit
-    on it."""
+    its values minus each tuple from scratch with ``reduce_divisor``; the
+    class set is None past ``scan_level``'s limit on it."""
     graph = search.graph
-    values = cf.Divisor(graph, search.base_reduced)
+    values = cf.Divisor(graph, search.values)
     base_id = graph.vertex_ids[search.base]
     classes = set()
     for e in cf.iter_effective_values(k, graph.vertex_count):
@@ -472,8 +504,12 @@ def _scan_cases(seed, count, max_candidates=1500):
 def test_scan_level_matches_a_per_tuple_reference():
     search_type = importlib.import_module("chipfire.rank")._Search
 
+    def scan_search(search, k):
+        failing, parts = search.scan_level(k)
+        return failing, _with_base_values(search, k, parts)
+
     def scan(graph, values, k):
-        return search_type(graph, values, 10**6).scan_level(k)
+        return scan_search(search_type(graph, values, 10**6), k)
 
     # one vertex: the hat is the graph, every step is at the base, and
     # level 4 is past the degree
@@ -483,10 +519,10 @@ def test_scan_level_matches_a_per_tuple_reference():
     banana = binary_graph(2)
     banana_search = search_type(banana, (2, -1), 10**6)
     assert banana_search.base == 1
-    assert banana_search.base_reduced[1] < 0 and sum(banana_search.base_reduced) >= 0
+    assert banana_search.base_value < 0 and sum(banana_search.values) >= 0
     # a 5-cycle with the chord a-c: from the a-reduced (1, 0, 1, 1, 0), the
     # prefix (0, 0, 2) already has no effective representative, so a class
-    # turns None at coordinate 2, below n - 2, after every tuple before
+    # fails at coordinate 2, below n - 2, after every tuple before
     # (0, 0, 2, 0, 0) passed
     chord = cf.Graph(
         ["a", "b", "c", "d", "e"],
@@ -496,7 +532,7 @@ def test_scan_level_matches_a_per_tuple_reference():
     prefix, _ = cf.reduce_divisor(cf.Divisor(chord, (1, 0, -1, 1, 0)), "a")
     assert prefix["a"] < 0
     # (-1, 0, 0, 0, 1) is a-reduced and negative at a, so level 0 carries
-    # a None class through every coordinate
+    # a failing class through every coordinate
     assert cf.is_reduced(cf.Divisor(chord, (-1, 0, 0, 0, 1)), "a")
     cases = _scan_cases(503, 30) + [
         (single, (3,), 4),
@@ -508,13 +544,13 @@ def test_scan_level_matches_a_per_tuple_reference():
     for graph, values, top in cases:
         search = search_type(graph, values, 10**6)
         levels = list(range(top + 1))
-        if sum(search.base_reduced) >= top:
+        if sum(values) >= top:
             # one level past the degree takes the negative-degree branch
-            levels.append(sum(search.base_reduced) + 1)
+            levels.append(sum(values) + 1)
         for k in levels:
             expected = _reference_scan(search, k)
             # the search's memo, shared across levels, and a fresh one
-            assert search.scan_level(k) == expected
+            assert scan_search(search, k) == expected
             assert scan(graph, values, k) == expected
             failures += expected[0] is not None
         assert expected[0] is not None
@@ -634,9 +670,14 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
         assert result.rank == 6
         assert result.witness.nonzero_items() == (("g2_2", 7),)
         counts.append(dict(calls))
-    # 18,475 reductions when every candidate was reduced from scratch; the
+    # 18,475 reductions when every candidate was reduced from scratch, and
+    # 6,765 borrows when a step was keyed by its whole class: a level past
+    # degree g repeats the classes of the one before off the base, with the
+    # base value one lower, and a step keyed by the part off the base serves
+    # both.  Of the 27,197 steps, 37 are level 7's failed expansion of level
+    # 6's classes, which stops at the first failing class in set order.  The
     # same counts again show that nothing carried over from the first search
-    assert counts[0] == {"_Search": 1, "_reduce_indices": 2, "_child": 27175, "_borrow": 6765}
+    assert counts[0] == {"_Search": 1, "_reduce_indices": 2, "_child": 27197, "_borrow": 3833}
     assert counts[1] == counts[0]
     calls.clear()
     assert cf.rank_geq(all_ones, 7) == (False, result.witness)
@@ -652,7 +693,7 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     result = cf.rank(cf.Divisor(weighted, (2, 2, 1, 1)))
     assert (result.rank, result.method) == (2, "riemann-roch")
     assert result.witness.nonzero_items() == (("a.z1", 1), ("a.z2", 1), ("b.z1", 1))
-    assert calls == {"_Search": 2, "_reduce_indices": 3, "_child": 25, "_borrow": 16}
+    assert calls == {"_Search": 2, "_reduce_indices": 3, "_child": 25, "_borrow": 14}
 
     # above degree 2g - 2, K - D has negative degree, so its search fails
     # level 0 on the reduction it was built with and takes no class step
@@ -669,7 +710,7 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     result = cf.rank(cf.Divisor(weighted, (6, 5, 2, -1)))  # degree 12, not effective
     assert (result.rank, result.method) == (6, "riemann-roch")
     assert result.witness.nonzero_items() == (("a.z1", 1), ("a.z2", 3), ("b.z1", 3))
-    assert calls == {"_Search": 2, "_reduce_indices": 3, "_child": 57, "_borrow": 29}
+    assert calls == {"_Search": 2, "_reduce_indices": 3, "_child": 57, "_borrow": 21}
     assert steps_at_return == [0, 57]  # the dual's search, then D's from level 7
 
     # a class with no effective representative fails level 0 on the search's
@@ -685,6 +726,40 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     ]
 
 
+def test_class_step_does_not_read_the_base_value():
+    # a step is given the class's part off the base alone: at two base
+    # values, one low and one high, the full reduction of the class minus v
+    # has the step's part off the base and the base value less the step's
+    # loss, whether the step is fresh or from a memo that already holds it
+    rank_module = importlib.import_module("chipfire.rank")
+    child = rank_module._child
+    rng = random.Random(1907)
+    checked = borrowed = 0
+    for hat, _, _ in _scan_cases(1907, 25):
+        n = hat.vertex_count
+        for _ in range(4):
+            base = rng.randrange(n)
+            base_id = hat.vertex_ids[base]
+            drawn = [rng.randint(0, 3) for _ in range(n)]
+            part = list(cf.reduce_divisor(cf.Divisor(hat, drawn), base_id)[0].values)
+            part[base] = 0
+            part = tuple(part)
+            memo = {}
+            for v in range(n):
+                step_part, lost = child(hat, base, memo, part, v)
+                assert (step_part, lost) == child(hat, base, memo, part, v)
+                assert step_part[base] == 0 and lost >= 0
+                for b in (rng.randint(0, 2), rng.randint(3, 9)):
+                    c = list(part)
+                    c[base] = b
+                    c[v] -= 1
+                    reduced = cf.reduce_divisor(cf.Divisor(hat, c), base_id)[0].values
+                    assert reduced == step_part[:base] + (b - lost,) + step_part[base + 1:]
+                checked += 1
+                borrowed += v != base and not part[v]
+    assert checked >= 500 and borrowed >= 100
+
+
 def test_class_step_by_borrowing_alone_is_the_reduction(monkeypatch):
     # every step c - v with c(v) = 0 off the base that a search meets, on
     # weighted or looped hat graphs, checked against the full reduction
@@ -692,39 +767,41 @@ def test_class_step_by_borrowing_alone_is_the_reduction(monkeypatch):
     child = rank_module._child
     steps = {}
 
-    def recording(graph, base, memo, c, v):
-        if not c[v] and v != base:
-            steps[graph, base, c, v] = None
-        return child(graph, base, memo, c, v)
+    def recording(graph, base, memo, part, v):
+        if not part[v] and v != base:
+            steps[graph, base, part, v] = None
+        return child(graph, base, memo, part, v)
 
     monkeypatch.setattr(rank_module, "_child", recording)
     for hat, values, top in _scan_cases(1303, 30):
         search, classes = rank_module._Search(hat, values, 10**6), None
         for k in range(top + 1):
             _, classes = search.scan_level(k, classes)
-    negative = 0
-    for graph, base, c, v in steps:
+    reaching_the_base = 0
+    for graph, base, part, v in steps:
         base_id = graph.vertex_ids[base]
-        assert cf.is_reduced(cf.Divisor(graph, c), base_id)
-        step = child(graph, base, {}, c, v)
-        minus = list(c)
-        minus[v] -= 1
-        reduced, _ = cf.reduce_divisor(cf.Divisor(graph, minus), base_id)
-        if reduced.values[base] < 0:
-            assert step is None
-            negative += 1
-        else:
-            assert step == reduced.values
-            assert cf.is_reduced(cf.Divisor(graph, step), base_id)
-    assert len(steps) >= 500 and 0 < negative < len(steps)
+        assert part[base] == 0 and cf.is_reduced(cf.Divisor(graph, part), base_id)
+        step_part, lost = child(graph, base, {}, part, v)
+        assert step_part[base] == 0 and cf.is_reduced(cf.Divisor(graph, step_part), base_id)
+        # the step never reads the base value, so any will do: at ``lost``
+        # the class minus v is effective, one below it the class fails
+        for b in (lost, lost - 1):
+            c = list(part)
+            c[base] = b
+            c[v] -= 1
+            reduced, _ = cf.reduce_divisor(cf.Divisor(graph, c), base_id)
+            assert reduced.values == step_part[:base] + (b - lost,) + step_part[base + 1:]
+        reaching_the_base += lost > 0
+    assert len(steps) >= 500 and 0 < reaching_the_base < len(steps)
 
     # the step needs c reduced: on a path from the base, (3, 0, 5) is not,
     # and borrowing alone at the middle vertex leaves (2, 1, 4), from which
     # {b, c} can still fire
     path = cf.Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert not cf.is_reduced(cf.Divisor(path, (3, 0, 5)), "a")
-    step = child(path, 0, {}, (3, 0, 5), 1)
-    assert step == (2, 1, 4)
+    step_part, lost = child(path, 0, {}, (0, 0, 5), 1)
+    assert (step_part, lost) == ((0, 1, 4), 1)
+    step = (3 - lost,) + step_part[1:]
     assert not cf.is_reduced(cf.Divisor(path, step), "a")
     assert cf.reduce_divisor(cf.Divisor(path, step), "a")[0].values == (7, 0, 0)
 
@@ -996,6 +1073,13 @@ def test_clifford_examples(dhar5):
     assert cf.clifford_check(cf.Divisor(g3, (1, 2)))
     # degree beyond 2g-2 is vacuous
     assert cf.clifford_check(cf.Divisor(g3, (9, 9)))
+    # also just past it: degree 7 on K4 (genus 3, 2g - 2 = 4) has rank
+    # 7 - 3 = 4 > floor(7 / 2), yet Clifford does not apply there
+    ids = ["a", "b", "c", "d"]
+    k4 = cf.Graph(ids, [(x, y) for i, x in enumerate(ids) for y in ids[i + 1:]])
+    seven = cf.Divisor(k4, {"a": 7})
+    assert cf.rank(seven).rank == 4
+    assert cf.clifford_check(seven)
 
 
 @pytest.mark.parametrize(

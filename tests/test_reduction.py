@@ -448,6 +448,12 @@ def test_is_saturation_rejects_bad_candidates(dhar5):
     assert not cf.is_saturation(g, g, d, "v0")
     # different vertex set
     assert not cf.is_saturation(g, binary_graph(1), d, "v0")
+    # a single extra edge away from the base, though the divisor is reduced
+    # at the base on the candidate
+    path = cf.Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    one_extra = path.with_extra_edges([("b", "c")])
+    assert cf.is_reduced(cf.Divisor(one_extra), "a")
+    assert not cf.is_saturation(path, one_extra, cf.Divisor(path), "a")
 
 
 def test_is_saturation_needs_every_original_edge():
