@@ -14,8 +14,8 @@ own firing levels, verified against the Laplacian, are its script.
 from __future__ import annotations
 
 import operator
-from collections.abc import Mapping
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from collections.abc import Iterable, Mapping
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, InternalError
 from .graph import Graph, HatEmbedding, _checked
@@ -23,13 +23,15 @@ from .graph import Graph, HatEmbedding, _checked
 Values = Union[Mapping[str, int], Sequence[int]]
 
 
-def _coerce_values(graph: Graph, values: Values) -> tuple[int, ...]:
+def _coerce_values(graph: Graph, values: Values, operation: str) -> tuple[int, ...]:
     n = graph.vertex_count
     if isinstance(values, Mapping):
         out = [0] * n
         for key, val in values.items():
             out[graph.index(key)] = operator.index(val)
         return tuple(out)
+    if type(values) is not list and type(values) is not tuple:  # the usual arguments pass at once
+        _checked(values, operation, Iterable)
     seq = [operator.index(v) for v in values]
     if len(seq) != n:
         raise DomainError(f"expected {n} values, got {len(seq)}")
@@ -46,7 +48,9 @@ class _VertexMap:
             raise DomainError(f"expected a Graph, got {type(graph).__name__}")
         self._graph = graph
         self._values = (
-            (0,) * graph.vertex_count if values is None else _coerce_values(graph, values)
+            (0,) * graph.vertex_count
+            if values is None
+            else _coerce_values(graph, values, type(self).__name__)
         )
 
     @property

@@ -33,6 +33,13 @@ def _checked(value, operation: str, kind):
     return value
 
 
+def _vertex_collection(vertices):
+    """``vertices``, unless it is a string: a string is refused, not read as its letters."""
+    if isinstance(vertices, str):
+        raise GraphError(f"expected a collection of vertex ids, got the string {quoted(vertices)}")
+    return vertices
+
+
 class Graph:
     """A finite multigraph with non-negative integer vertex weights and loops.
 
@@ -69,6 +76,7 @@ class Graph:
         for specs in (vertices, edges):
             if type(specs) is not list:  # the usual argument is tested first
                 _checked(specs, "Graph", abc.Iterable)
+        _vertex_collection(vertices)
         ids: list[str] = []
         weights: list[int] = []
         index: dict[str, int] = {}
@@ -156,10 +164,8 @@ class Graph:
             raise GraphError(f"unknown vertex id {vertex!r}") from None
 
     def _indices(self, vertices: Iterable[str]) -> frozenset[int]:
-        """The indices of a vertex set; a string is refused, not read as its letters."""
-        if isinstance(vertices, str):
-            raise GraphError(f"expected a collection of vertex ids, got the string {quoted(vertices)}")
-        return frozenset(map(self.index, vertices))
+        """The indices of a vertex set."""
+        return frozenset(map(self.index, _vertex_collection(vertices)))
 
     def has_vertex(self, vertex: str) -> bool:
         return vertex in self._index

@@ -417,7 +417,7 @@ def _explicit_indices(
     g' (loopless genus) chips off i (Baker-Norine): no burn below deg - g'."""
     floor_value, least = min(capacity), sum(values) - graph._loopless_genus
     for i, x in enumerate(values):
-        if capacity[i] == floor_value and x >= least and max(_burn(graph, values, i)) < 0:
+        if capacity[i] == floor_value and x >= least and len(_burn(graph, values, i)[1]) == len(values):
             yield i
 
 

@@ -7,8 +7,9 @@ effective away from u and the fire started at u consumes every vertex.
 Every divisor class has exactly one u-reduced representative, which is what
 makes a single burn-and-check decide equivalence to an effective divisor.
 
-The fire spreads only in ``_burn``; its ``room`` list gives Dhar's layers,
-reducedness (``max(room) < 0``) and the firing rule of a reduction.  Debt
+The fire spreads only in ``_burn``; its ``room`` list gives Dhar's layers
+and the firing rule of a reduction, its burn order reducedness (every
+vertex burned) and, with the vertices it touched, a round's cut.  Debt
 is cleared only in ``_borrow``, phase 1 of every reduction and the whole
 of a rank search's class step.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .errors import DomainError, InternalError
 from .divisor import Divisor, FiringScript, _graph_of
@@ -49,24 +50,30 @@ class DharDecomposition:
         return frozenset(out)
 
 
-def _burn(graph: Graph, values: Sequence[int], base: int) -> list[int]:
+def _burn(graph: Graph, values: Sequence[int], base: int) -> tuple[list[int], list[int], list[int]]:
     """Play the burning game from ``base``; loops and weights play no part.
 
-    Returns ``room``: a vertex burned on day j holds ``-1 - j`` (day 0 is
-    the base alone), an unburned one its chips minus its edges into the
-    burned region (>= 0).  ``values`` is read, never written, and must be
-    non-negative off the base.  A vertex burns once its chips fall short of
-    its edges into the burned region, a count that grows only when a
-    neighbour burns, so each edge is looked at once from each end that
-    burns (Dhar 1990).  ``order`` is FIFO, so vertices are taken in
-    nondecreasing day order, and a w that burns while v of day j is taken
-    burns exactly on day j + 1: it had room against every earlier day and
-    falls short against part of day j's region.
+    Returns ``(room, order, touched)``.  ``room``: a vertex burned on day
+    j holds ``-1 - j`` (day 0 is the base alone), an unburned one its chips
+    minus its edges into the burned region (>= 0).  ``order``: the burned
+    vertices as they burned, so the divisor is reduced exactly when it
+    holds all n.  ``touched``: with repeats, each vertex that lost room to
+    a burning neighbour and did not burn then; those still unburned are a
+    reduction round's cut.  The two lists let a round read the burned
+    region and its cut, not all of ``room``.  ``values`` is read, never
+    written, and must be non-negative off the base.  A vertex burns once
+    its chips fall short of its edges into the burned region, a count
+    that grows only when a neighbour burns, so each edge is looked at once
+    from each end that burns (Dhar 1990).  ``order`` is FIFO, so vertices
+    are taken in nondecreasing day order, and a w that burns while v of
+    day j is taken burns exactly on day j + 1: it had room against every
+    earlier day and falls short against part of day j's region.
     """
     adj_items = graph._adj_items
     room = list(values)
     room[base] = -1
     order = [base]
+    touched: list[int] = []
     for v in order:
         day = room[v] - 1  # the day after v's
         for w, mult in adj_items[v]:
@@ -78,7 +85,8 @@ def _burn(graph: Graph, values: Sequence[int], base: int) -> list[int]:
                     order.append(w)
                 else:
                     room[w] = r
-    return room
+                    touched.append(w)
+    return room, order, touched
 
 
 def _dhar_indices(
@@ -87,7 +95,7 @@ def _dhar_indices(
     """The burn's days grouped into layers (day 0 is the base alone) and
     the unburned vertices, all as ascending index tuples: ``_burn`` read in
     vertex order."""
-    room = _burn(graph, values, base)
+    room = _burn(graph, values, base)[0]
     layers: list[list[int]] = [[] for _ in range(-min(room))]
     for v, r in enumerate(room):
         if r < 0:
@@ -95,7 +103,7 @@ def _dhar_indices(
     return [tuple(layer) for layer in layers], tuple(v for v, r in enumerate(room) if r >= 0)
 
 
-def _fire_indices(graph: Graph, values: list[int], room: list[int], members: list[int]) -> int:
+def _fire_indices(graph: Graph, values: list[int], room: list[int], members: Collection[int]) -> int:
     """Fire the unburned set of a burn in place as many times as every
     member can afford, and return that number t.
 
@@ -187,10 +195,15 @@ def _reduce_indices(
     still holds ``d(v) - t * out(v) >= 0``: effectivity off the base is
     preserved.  Only the cut, the members with ``out(v) > 0``, gains or
     loses chips, and only it bounds t, so ``_fire_indices`` fires the cut
-    alone and a round costs the cut's edges besides the burn, not the
-    whole of U's; every member's level still rises by t.  The poorest
-    member sets t, so several piles, or one on a grid, would need rounds
-    in proportion to their chips.
+    alone.  Every member's level still rises by t, which a round records
+    as -t on each burned vertex, the pass adding the sum of its t to every
+    level once, so the base's level stays 0.  The burn hands over its order
+    and the vertices it touched: the pass ends when the order holds all n
+    vertices, and the cut is the touched vertices still unburned.  So a
+    round costs the burn's copy of the values plus the burned region and
+    its cut, and makes no pass over all n vertices.  The poorest member
+    sets t, so several piles, or one on a grid, would need rounds in
+    proportion to their chips.
 
     Halving keeps the chips of a firing pass bounded by the graph.  A
     base-reduced divisor holds at most g' chips off the base, with
@@ -237,34 +250,35 @@ def _reduce_indices(
 
     pile, borrowed, shift = values, levels, 0
     while True:
-        rounds = 0
+        rounds = fired = 0
         while True:
-            room = _burn(graph, values, base)
-            if max(room) < 0:
+            room, order, touched = _burn(graph, values, base)
+            if len(order) == n:
                 break
             if not rounds:
                 guard = (n - 1) ** 2 * (sum(values) - values[base])
-            unburned = [v for v, r in enumerate(room) if r >= 0]
             rounds += 1
-            times = _fire_indices(graph, values, room, [v for v in unburned if values[v] > room[v]])
+            times = _fire_indices(graph, values, room, {w for w in touched if room[w] >= 0})
             if times < 1 or rounds > guard:
                 raise InternalError("reduction did not terminate within its step guard")
-            for v in unburned:
-                levels[v] += times
+            fired += times
+            for v in order:
+                levels[v] -= times
             if values is pile and rounds == 1:  # halve a pile still above the bound
                 chips = sum(values) - values[base]
                 unit = 2 * graph._loopless_genus + n  # one more than the bound
                 if chips >= unit:
                     shift = (chips // unit).bit_length()
-                    values, levels, rounds = [x >> shift for x in pile], [0] * n, 0
+                    borrowed = [x + fired for x in levels]
+                    values, levels, rounds, fired = [x >> shift for x in pile], [0] * n, 0, 0
         if not shift:
             break
         shift -= 1
         values = [2 * x + (d >> shift & 1) for x, d in zip(values, pile)]
-        levels = [2 * x for x in levels]
+        levels = [2 * (x + fired) for x in levels]
     if levels is not borrowed:
-        levels = [x + b for x, b in zip(levels, borrowed)]
-    return values, levels
+        return values, [x + fired + b for x, b in zip(levels, borrowed)]
+    return values, [x + fired for x in levels] if fired else levels
 
 
 def _debt_base(values: Sequence[int]) -> int:
@@ -311,7 +325,7 @@ def is_reduced(divisor: Divisor, base: str) -> bool:
     graph, u = _checked_base(divisor, base, "is_reduced")
     if any(x < 0 for v, x in enumerate(divisor.values) if v != u):
         return False
-    return max(_burn(graph, divisor.values, u)) < 0
+    return len(_burn(graph, divisor.values, u)[1]) == graph.vertex_count
 
 
 def reduce_divisor(divisor: Divisor, base: str) -> tuple[Divisor, FiringScript]:
@@ -341,11 +355,11 @@ def saturate(divisor: Divisor, base: str) -> tuple[Graph, int]:
     graph, u = _checked_effective_off_base(divisor, base, "saturate")
     extra = [
         (base, graph.vertex_ids[v], divisor.values[v])
-        for v, r in enumerate(_burn(graph, divisor.values, u))
+        for v, r in enumerate(_burn(graph, divisor.values, u)[0])
         if r >= 0 and divisor.values[v] > 0
     ]
     saturated = graph.with_extra_edges(extra) if extra else graph
-    if max(_burn(saturated, divisor.values, u)) >= 0:
+    if len(_burn(saturated, divisor.values, u)[1]) < saturated.vertex_count:
         raise InternalError("saturation recipe left vertices unburned")
     return saturated, sum(mult for _, _, mult in extra)
 

@@ -53,6 +53,7 @@ class GraphDocument:
 def parse_graph(text: str) -> GraphDocument:
     """Parse the line format into a graph, validating each line once: the
     graph's tables are built here, not by a second pass in ``Graph``."""
+    _checked(text, "parse_graph", str)
     ids: list[str] = []
     weights: list[int] = []
     index: dict[str, int] = {}
@@ -136,6 +137,7 @@ def render_graph(graph: Graph) -> str:
 def parse_divisor(text: str, graph: Graph) -> Divisor:
     """Parse a comma-separated ``id=int`` literal against a graph; omitted
     vertices are zero and the empty string is the zero divisor."""
+    _checked(text, "parse_divisor", str)
     _checked(graph, "parse_divisor", Graph)
     values: dict[str, int] = {}
     for chunk in text.split(","):

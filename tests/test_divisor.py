@@ -583,8 +583,9 @@ def test_calls_refuse_a_divisor_argument_of_another_type(name):
 
 
 # every public call that takes a graph, a hat embedding, a divisor or script
-# to render, or the vertex and edge collections of a new graph, each handed
-# a value of another type there, with the refusal it must raise
+# to render, a text to parse, the values of a new divisor or script, or the
+# vertex and edge collections of a new graph, each handed a value of another
+# type there, with the refusal it must raise
 _WRONG_GRAPH_CALLS = {
     "fire_set": (lambda d: cf.fire_set("x", []), "fire_set expects a Graph, got str"),
     "hat_graph": (lambda d: cf.hat_graph("x"), "hat_graph expects a Graph, got str"),
@@ -602,6 +603,10 @@ _WRONG_GRAPH_CALLS = {
     ),
     "Graph vertices": (lambda d: cf.Graph(5), "Graph expects an Iterable, got int"),
     "Graph edges": (lambda d: cf.Graph(["a"], 5), "Graph expects an Iterable, got int"),
+    "parse_graph": (lambda d: cf.parse_graph(5), "parse_graph expects a str, got int"),
+    "parse_divisor text": (lambda d: cf.parse_divisor(5, d.graph), "parse_divisor expects a str, got int"),
+    "Divisor values": (lambda d: cf.Divisor(d.graph, 5), "Divisor expects an Iterable, got int"),
+    "FiringScript values": (lambda d: cf.FiringScript(d.graph, 5), "FiringScript expects an Iterable, got int"),
 }
 
 

@@ -549,6 +549,8 @@ def test_hat_target_is_plain_with_degree_two_midpoints(g):
         (["a", "b"], [{("a", "b")}], "bad edge spec {('a', 'b')}; expected (a, b) or (a, b, mult)"),
         ([{"a": 1, "b": 2}], [], "bad vertex spec {'a': 1, 'b': 2}; expected id or (id, weight)"),
         ([{("a", 1)}], [], "bad vertex spec {('a', 1)}; expected id or (id, weight)"),
+        # nor is a vertex collection read as its letters, as a vertex set is not
+        ("ab", [], "expected a collection of vertex ids, got the string 'ab'"),
     ],
 )
 def test_graph_input_checks(vertices, edges, message):

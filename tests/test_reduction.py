@@ -142,7 +142,7 @@ def _check_dhar_layers(graph, effective_off, base):
     dec = cf.dhar(effective_off, base)
     u = graph.index(base)
     layers, unburned = _dhar_indices(graph, list(effective_off.values), u)
-    room = _burn(graph, list(effective_off.values), u)
+    room, order, touched = _burn(graph, list(effective_off.values), u)
     assert tuple(v for v, r in enumerate(room) if r >= 0) == unburned
     assert dec.unburned == frozenset(graph.vertex_ids[v] for v in unburned)
     assert all(list(layer) == sorted(layer) for layer in layers)
@@ -166,6 +166,15 @@ def _check_dhar_layers(graph, effective_off, base):
     for v in unburned:
         vid = graph.vertex_ids[v]
         assert room[v] == effective_off[vid] - graph.intersection({vid}, burned)
+    # order: the burned vertices, each once, from the base in nondecreasing day
+    assert order[0] == u
+    assert sorted(order) == [v for v, r in enumerate(room) if r < 0]
+    assert [-1 - room[v] for v in order] == sorted(-1 - room[v] for v in order)
+    # the cut a reduction round fires: the touched vertices still unburned are
+    # exactly the unburned ones with an edge into the burned region
+    cut = {w for w in touched if room[w] >= 0}
+    assert cut == {v for v in unburned if graph.intersection({graph.vertex_ids[v]}, burned)}
+    assert (len(order) == graph.vertex_count) == cf.is_reduced(effective_off, base)
 
 
 # -- reduce -------------------------------------------------------------------
