@@ -44,9 +44,7 @@ class _VertexMap:
     __slots__ = ("_graph", "_values")
 
     def __init__(self, graph: Graph, values: Values | None = None):
-        if not isinstance(graph, Graph):
-            raise DomainError(f"expected a Graph, got {type(graph).__name__}")
-        self._graph = graph
+        self._graph = _checked(graph, type(self).__name__, Graph)
         self._values = (
             (0,) * graph.vertex_count
             if values is None
@@ -152,6 +150,14 @@ def _graph_of(divisor: object, operation: str, *, connected: bool = True, kind: 
     return graph
 
 
+def _plain_graph_of(divisor: object, operation: str) -> Graph:
+    """``_graph_of``, refusing a graph with weights or loops."""
+    graph = _graph_of(divisor, operation)
+    if any(graph._weights) or any(graph._loops):
+        raise DomainError(f"{operation} is defined on weightless loopless graphs; use rank()")
+    return graph
+
+
 def _same_graph(a: object, b: object, operation: str, kind: type = Divisor) -> Graph:
     """The graph both operands of ``operation``, each a ``kind``, are bound to."""
     graph = _graph_of(a, operation, connected=False, kind=kind)
@@ -219,12 +225,12 @@ def principal_script(divisor: Divisor) -> Optional[FiringScript]:
 def equivalence_script(d1: Divisor, d2: Divisor) -> Optional[FiringScript]:
     """A script x with d1 = d2 + firing(x), or None when d1 and d2 are not
     linearly equivalent."""
-    _same_graph(d1, d2, "equivalence_script")
+    _same_graph(d1, d2, "equivalence_script").require_connected("equivalence_script")
     return principal_script(d1 - d2)
 
 
 def equivalent(d1: Divisor, d2: Divisor) -> bool:
-    _same_graph(d1, d2, "equivalent")
+    _same_graph(d1, d2, "equivalent").require_connected("equivalent")
     return principal_script(d1 - d2) is not None
 
 
@@ -234,7 +240,7 @@ def layer_decomposition(divisor: Divisor) -> tuple[frozenset[str], ...]:
 
     The first and last sets are nonempty; intermediate sets may be empty.
     """
-    ids = _graph_of(divisor, "layer_decomposition", connected=False).vertex_ids
+    ids = _graph_of(divisor, "layer_decomposition").vertex_ids
     script = principal_script(divisor)
     if script is None:
         raise DomainError("divisor is not principal")

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .divisor import Divisor, _graph_of, fire_set, iter_effective_values
+from .divisor import Divisor, _graph_of, _plain_graph_of, fire_set, iter_effective_values
 from .errors import BudgetError, DomainError, FixtureError, InternalError, quoted
 from .graph import Graph
 
@@ -94,9 +94,7 @@ def brute_rank(divisor: Divisor) -> int:
     solver.  Exponential on purpose; budget-limited to 6 vertices and
     degree 8.
     """
-    graph = _graph_of(divisor, "brute_rank")
-    if any(graph.weights) or any(graph._loops):
-        raise DomainError("brute_rank handles weightless loopless graphs only")
+    graph = _plain_graph_of(divisor, "brute_rank")
     n = graph.vertex_count
     if n > BRUTE_RANK_MAX_VERTICES:
         raise BudgetError(

@@ -72,6 +72,7 @@ from typing import Iterator, Optional
 from .divisor import (
     Divisor,
     _graph_of,
+    _plain_graph_of,
     _pointwise_values,
     degree_for_rank,
     iter_effective_values,
@@ -116,14 +117,6 @@ class RankResult:
     rank: int
     witness: Divisor
     method: str
-
-
-def _plain_graph_of(divisor: Divisor, operation: str) -> Graph:
-    """``_graph_of``, refusing a graph with weights or loops."""
-    graph = _graph_of(divisor, operation)
-    if any(graph.weights) or any(graph._loops):
-        raise DomainError(f"{operation} is defined on weightless loopless graphs; use rank()")
-    return graph
 
 
 def _level_count(k: int, n: int) -> int:

@@ -22,7 +22,7 @@ from typing import Collection, Optional, Sequence
 
 from .errors import DomainError, InternalError
 from .divisor import Divisor, FiringScript, _graph_of
-from .graph import Graph
+from .graph import Graph, _checked
 
 
 @dataclass(frozen=True)
@@ -196,14 +196,14 @@ def _reduce_indices(
     preserved.  Only the cut, the members with ``out(v) > 0``, gains or
     loses chips, and only it bounds t, so ``_fire_indices`` fires the cut
     alone.  Every member's level still rises by t, which a round records
-    as -t on each burned vertex, the pass adding the sum of its t to every
-    level once, so the base's level stays 0.  The burn hands over its order
-    and the vertices it touched: the pass ends when the order holds all n
-    vertices, and the cut is the touched vertices still unburned.  So a
-    round costs the burn's copy of the values plus the burned region and
-    its cut, and makes no pass over all n vertices.  The poorest member
-    sets t, so several piles, or one on a grid, would need rounds in
-    proportion to their chips.
+    as -t on each burned vertex: a script is defined only up to an
+    additive constant, and no caller reads the base's level.  The burn
+    hands over its order and the vertices it touched: the pass ends when
+    the order holds all n vertices, and the cut is the touched vertices
+    still unburned.  So a round costs the burn's copy of the values plus
+    the burned region and its cut, and makes no pass over all n vertices.
+    The poorest member sets t, so several piles, or one on a grid, would
+    need rounds in proportion to their chips.
 
     Halving keeps the chips of a firing pass bounded by the graph.  A
     base-reduced divisor holds at most g' chips off the base, with
@@ -239,8 +239,8 @@ def _reduce_indices(
     rounds number at most sum(X) <= (n - 1)^2 S; more means a broken
     kernel.
 
-    Returns the reduced values and the accumulated firing levels (not yet
-    normalized); the base's level is zero.  May mutate ``values``.
+    Returns the reduced values and the accumulated firing levels, defined
+    up to an additive constant and not normalized.  May mutate ``values``.
     """
     n = graph.vertex_count
     levels = [0] * n
@@ -248,9 +248,9 @@ def _reduce_indices(
     if debtors:
         _borrow(graph, values, base, debtors, levels)
 
-    pile, borrowed, shift = values, levels, 0
+    pile, borrowed, shift = values, None, 0
     while True:
-        rounds = fired = 0
+        rounds = 0
         while True:
             room, order, touched = _burn(graph, values, base)
             if len(order) == n:
@@ -261,7 +261,6 @@ def _reduce_indices(
             times = _fire_indices(graph, values, room, {w for w in touched if room[w] >= 0})
             if times < 1 or rounds > guard:
                 raise InternalError("reduction did not terminate within its step guard")
-            fired += times
             for v in order:
                 levels[v] -= times
             if values is pile and rounds == 1:  # halve a pile still above the bound
@@ -269,16 +268,14 @@ def _reduce_indices(
                 unit = 2 * graph._loopless_genus + n  # one more than the bound
                 if chips >= unit:
                     shift = (chips // unit).bit_length()
-                    borrowed = [x + fired for x in levels]
-                    values, levels, rounds, fired = [x >> shift for x in pile], [0] * n, 0, 0
+                    borrowed = levels
+                    values, levels, rounds = [x >> shift for x in pile], [0] * n, 0
         if not shift:
             break
         shift -= 1
         values = [2 * x + (d >> shift & 1) for x, d in zip(values, pile)]
-        levels = [2 * (x + fired) for x in levels]
-    if levels is not borrowed:
-        return values, [x + fired + b for x, b in zip(levels, borrowed)]
-    return values, [x + fired for x in levels] if fired else levels
+        levels = [2 * x for x in levels]
+    return values, levels if borrowed is None else [x + b for x, b in zip(levels, borrowed)]
 
 
 def _debt_base(values: Sequence[int]) -> int:
@@ -369,19 +366,16 @@ def is_saturation(original: Graph, candidate: Graph, divisor: Divisor, base: str
     subgraph of the candidate, every extra edge touches the base, and the
     divisor is base-reduced on the candidate."""
     for graph in (original, candidate):
-        if not isinstance(graph, Graph):
-            raise DomainError(f"expected a Graph, got {type(graph).__name__}")
+        _checked(graph, "is_saturation", Graph)
     if _graph_of(divisor, "is_saturation") != original:
         raise DomainError("divisor is not bound to the original graph")
     if candidate.vertex_items != original.vertex_items:
         return False
     original.index(base)  # an unknown base raises before any edge is compared
-    for (a, b), mult in original.edge_items():
-        if candidate.multiplicity(a, b) < mult:
-            return False
-    for (a, b), mult in candidate.edge_items():
-        # never negative: the loop above checked every original edge
-        extra = mult - original.multiplicity(a, b)
-        if extra > 0 and base not in (a, b):
-            return False
+    # the same vertex order, so both graphs name each edge by the same pair
+    extra = dict(candidate.edge_items())
+    for edge, mult in original.edge_items():
+        extra[edge] = extra.get(edge, 0) - mult
+    if any(mult < 0 or (mult and base not in edge) for edge, mult in extra.items()):
+        return False
     return is_reduced(Divisor(candidate, divisor.as_dict()), base)

@@ -488,6 +488,9 @@ def test_cli_domain_errors_exit_one(dhar5_file, tmp_path, capsys):
     disconnected.write_text("v a\nv b\n")
     assert main(["rank", str(disconnected), "-d", ""]) == 1
     assert "connected" in capsys.readouterr().err
+    # the refusal names the call the command made, not one inside it
+    assert main(["equiv", str(disconnected), "-d", "", "-e", ""]) == 1
+    assert capsys.readouterr().err == "error: equivalence_script requires a connected graph\n"
 
     assert main(["dhar", dhar5_file, "-d", "v1=-1", "-u", "v0"]) == 1
     assert "'v1'" in capsys.readouterr().err

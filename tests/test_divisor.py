@@ -530,8 +530,8 @@ def test_vertex_map_add_refuses_other_operands(dhar5, make_left, make_right, err
     [
         (lambda g: cf.Divisor(g, (1, 2, 3, 4)), "expected 5 values, got 4"),
         (lambda g: cf.FiringScript(g, [0] * 6), "expected 5 values, got 6"),
-        (lambda g: cf.Divisor("dhar5", (0,) * 5), "expected a Graph, got str"),
-        (lambda g: cf.FiringScript(None), "expected a Graph, got NoneType"),
+        (lambda g: cf.Divisor("dhar5", (0,) * 5), "Divisor expects a Graph, got str"),
+        (lambda g: cf.FiringScript(None), "FiringScript expects a Graph, got NoneType"),
     ],
 )
 def test_vertex_map_input_checks(dhar5, make, message):
@@ -617,6 +617,51 @@ def test_calls_refuse_a_graph_argument_of_another_type(name):
     with pytest.raises(cf.DomainError) as info:
         call(cf.Divisor(g))
     assert str(info.value) == message
+
+
+# every public call that needs a connected graph, each handed a divisor on
+# two isolated vertices (and that graph where it takes one too)
+_DISCONNECTED_CALLS = {
+    "rank": lambda g, d: cf.rank(d),
+    "rank_geq": lambda g, d: cf.rank_geq(d, 0),
+    "rank_explicit_vertices": lambda g, d: cf.rank_explicit_vertices(d),
+    "rank_explicit_vertex": lambda g, d: cf.rank_explicit_vertex(d),
+    "rank_lower_bound_certified": lambda g, d: cf.rank_lower_bound_certified(d, 0),
+    "saturation_bound": lambda g, d: cf.saturation_bound(d, "a"),
+    "riemann_roch_residual": lambda g, d: cf.riemann_roch_residual(d),
+    "clifford_check": lambda g, d: cf.clifford_check(d),
+    "g0_comparison": lambda g, d: cf.g0_comparison(d),
+    "bullet_rank_identity": lambda g, d: cf.bullet_rank_identity(d),
+    "principal_script": lambda g, d: cf.principal_script(d),
+    "brute_rank": lambda g, d: cf.brute_rank(d),
+    "dhar": lambda g, d: cf.dhar(d, "a"),
+    "is_reduced": lambda g, d: cf.is_reduced(d, "a"),
+    "reduce_divisor": lambda g, d: cf.reduce_divisor(d, "a"),
+    "saturate": lambda g, d: cf.saturate(d, "a"),
+    "is_saturation": lambda g, d: cf.is_saturation(g, g, d, "a"),
+    "equivalence_script": lambda g, d: cf.equivalence_script(d, d),
+    "equivalent": lambda g, d: cf.equivalent(d, d),
+    "layer_decomposition": lambda g, d: cf.layer_decomposition(d),
+}
+
+
+@pytest.mark.parametrize("name", list(_DISCONNECTED_CALLS))
+def test_calls_refuse_a_disconnected_graph_by_name(name):
+    g = cf.Graph(["a", "b"])
+    with pytest.raises(cf.DisconnectedError) as info:
+        _DISCONNECTED_CALLS[name](g, cf.Divisor(g))
+    assert str(info.value) == f"{name} requires a connected graph"
+
+
+def test_package_exports_each_public_name_once_in_order():
+    # __init__.py names each export twice, in its imports and in __all__
+    public = {
+        name
+        for name, value in vars(cf).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert cf.__all__ == sorted(set(cf.__all__))
+    assert set(cf.__all__) == public
 
 
 def test_vertex_map_hash_and_repr(dhar5):

@@ -480,13 +480,13 @@ def test_is_saturation_refuses_a_divisor_on_another_graph(dhar5):
 def test_is_saturation_refuses_a_candidate_that_is_no_graph(dhar5):
     with pytest.raises(cf.DomainError) as info:
         cf.is_saturation(dhar5.graph, "x", dhar5.divisors["example"], "v0")
-    assert str(info.value) == "expected a Graph, got str"
+    assert str(info.value) == "is_saturation expects a Graph, got str"
 
 
 def test_is_saturation_refuses_an_original_that_is_no_graph(dhar5):
     with pytest.raises(cf.DomainError) as info:
         cf.is_saturation("x", dhar5.graph, dhar5.divisors["example"], "v0")
-    assert str(info.value) == "expected a Graph, got str"
+    assert str(info.value) == "is_saturation expects a Graph, got str"
 
 
 def test_saturate_rejects_negative_off_base(dhar5):
