@@ -195,7 +195,7 @@ def fire_set(graph: Graph, vertices: Iterable[str]) -> Divisor:
     the zero divisor.
     """
     indicator = [0] * _checked(graph, "fire_set", Graph).vertex_count
-    for i in graph._indices(vertices):
+    for i in graph._indices(vertices, "fire_set"):
         indicator[i] = 1
     return Divisor(graph, _laplacian_image(graph, indicator))
 

@@ -10,11 +10,11 @@ edge-augmented) are new values, and a graph keeps its hat once built.
 from __future__ import annotations
 
 import operator
-from collections import abc
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
-from .errors import DisconnectedError, DomainError, GraphError, quoted
+from .errors import DisconnectedError, DomainError, GraphError
 
 VertexSpec = Union[str, tuple, list]
 EdgeSpec = Union[tuple, list]
@@ -23,21 +23,15 @@ _second = operator.itemgetter(1)
 
 
 def _checked(value, operation: str, kind):
-    """``value``, after the type check of every public call's graph,
-    embedding, divisor or script argument: a ``DomainError`` naming
-    ``operation`` unless it is a ``kind`` (a type or a tuple of types)."""
-    if not isinstance(value, kind):
+    """``value``, after the type check of every public call's argument: a
+    ``DomainError`` naming ``operation`` unless it is a ``kind`` (a type or a
+    tuple of types).  A string is no ``Iterable`` here: it is no collection
+    of ids, specs or values, as ``"ab"`` is not ``{"a", "b"}``."""
+    if not isinstance(value, kind) or (kind is Iterable and isinstance(value, str)):
         names = " or ".join(k.__name__ for k in kind) if isinstance(kind, tuple) else kind.__name__
         article = "an" if names[0] in "AEIOU" else "a"
         raise DomainError(f"{operation} expects {article} {names}, got {type(value).__name__}")
     return value
-
-
-def _vertex_collection(vertices):
-    """``vertices``, unless it is a string: a string is refused, not read as its letters."""
-    if isinstance(vertices, str):
-        raise GraphError(f"expected a collection of vertex ids, got the string {quoted(vertices)}")
-    return vertices
 
 
 class Graph:
@@ -75,8 +69,7 @@ class Graph:
     def __init__(self, vertices: Iterable[VertexSpec], edges: Iterable[EdgeSpec] = ()):
         for specs in (vertices, edges):
             if type(specs) is not list:  # the usual argument is tested first
-                _checked(specs, "Graph", abc.Iterable)
-        _vertex_collection(vertices)
+                _checked(specs, "Graph", Iterable)
         ids: list[str] = []
         weights: list[int] = []
         index: dict[str, int] = {}
@@ -160,12 +153,12 @@ class Graph:
     def index(self, vertex: str) -> int:
         try:
             return self._index[vertex]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable value is no vertex id either
             raise GraphError(f"unknown vertex id {vertex!r}") from None
 
-    def _indices(self, vertices: Iterable[str]) -> frozenset[int]:
-        """The indices of a vertex set."""
-        return frozenset(map(self.index, _vertex_collection(vertices)))
+    def _indices(self, vertices: Iterable[str], operation: str) -> frozenset[int]:
+        """The indices of the vertex set that ``operation`` was handed."""
+        return frozenset(map(self.index, _checked(vertices, operation, Iterable)))
 
     def has_vertex(self, vertex: str) -> bool:
         return vertex in self._index
@@ -257,7 +250,7 @@ class Graph:
 
         The two sets must be disjoint; loops never contribute.
         """
-        ai, bi = self._indices(a), self._indices(b)
+        ai, bi = self._indices(a, "intersection"), self._indices(b, "intersection")
         if ai & bi:
             raise DomainError("intersection requires disjoint vertex sets")
         if len(bi) < len(ai):
@@ -300,7 +293,7 @@ class Graph:
     def with_extra_edges(self, edges: Iterable[EdgeSpec]) -> "Graph":
         """A new graph with the same vertices and the given edges added."""
         existing = [(a, b, m) for (a, b), m in self.edge_items()]
-        return Graph(self.vertex_items, existing + list(edges))
+        return Graph(self.vertex_items, existing + list(_checked(edges, "with_extra_edges", Iterable)))
 
     # -- equality -------------------------------------------------------
 
@@ -349,14 +342,17 @@ def _hang_fresh(
     """The graph without its loops, with the given vertex weights, and
     ``counts[i]`` fresh weight-zero vertices hung on vertex i by double
     edges, built from the graph's already valid tables; returns it and the
-    map from each vertex to its fresh ones.
+    map from each vertex to its fresh ones.  When that changes nothing (the
+    same weights, no loops, nothing to hang) it is the graph itself.
 
     Fresh ids are ``<vertex>.z<k>``, k from 1, skipping taken ids: the text
     grammar reserves the dot, so user ids never collide, and derived graphs
     of derived graphs stay collision-free.  Fresh vertices come after every
     original one, so appending them keeps each row sorted."""
-    ids, rows = list(graph._ids), list(graph._adj_items)
     added: dict[str, tuple[str, ...]] = dict.fromkeys(graph._ids, ())
+    if tuple(weights) == graph._weights and not any(graph._loops) and not any(counts):
+        return graph, added
+    ids, rows = list(graph._ids), list(graph._adj_items)
     for i, (v, count) in enumerate(zip(graph._ids, counts)):
         if count:
             fresh, k = [], 0
@@ -383,9 +379,10 @@ def hat_graph(graph: Graph) -> HatEmbedding:
     _checked(graph, "hat_graph", Graph)
     if graph._hat is None:
         genera = [w + loops for w, loops in zip(graph._weights, graph._loops)]
-        if not any(genera):
-            return HatEmbedding(graph, graph, dict.fromkeys(graph._ids, ()))
-        graph._hat = _hang_fresh(graph, [0] * graph.vertex_count, genera)
+        hat = _hang_fresh(graph, [0] * graph.vertex_count, genera)
+        if hat[0] is graph:  # a graph that is its own hat keeps no reference to itself
+            return HatEmbedding(graph, graph, hat[1])
+        graph._hat = hat
     return HatEmbedding(graph, graph._hat[0], dict(graph._hat[1]))
 
 
@@ -396,8 +393,6 @@ def strip_weights_and_loops(graph: Graph) -> Graph:
     simplification against which rank comparisons are made.
     """
     _checked(graph, "strip_weights_and_loops", Graph)
-    if not any(graph.weights) and not any(graph._loops):
-        return graph
     zeros = [0] * graph.vertex_count
     return _hang_fresh(graph, zeros, zeros)[0]
 
@@ -409,6 +404,4 @@ def subdivide_loops(graph: Graph) -> tuple[Graph, dict[str, tuple[str, ...]]]:
     graph and the map from each original vertex to its fresh midpoints.
     """
     _checked(graph, "subdivide_loops", Graph)
-    if not any(graph._loops):
-        return graph, {v: () for v in graph.vertex_ids}
     return _hang_fresh(graph, graph.weights, graph._loops)

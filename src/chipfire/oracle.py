@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .divisor import Divisor, _graph_of, _plain_graph_of, fire_set, iter_effective_values
 from .errors import BudgetError, DomainError, FixtureError, InternalError, quoted
-from .graph import Graph
+from .graph import Graph, _checked
 
 BRUTE_RANK_MAX_VERTICES = 6
 BRUTE_RANK_MAX_DEGREE = 8
@@ -234,7 +234,7 @@ def load_fixture(name: str) -> Fixture:
     Known names: ``dhar5``, ``weighted-binary``, ``three-component``,
     ``bullet-loop``, and the parametric ``binary(g)`` and ``rose(g)``.
     """
-    if name in _NAMED:
+    if _checked(name, "load_fixture", str) in _NAMED:
         return _NAMED[name]()
     match = _PARAMETRIC.match(name)
     if match:

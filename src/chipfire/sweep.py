@@ -37,7 +37,7 @@ from .divisor import (
     rank_lower_bound,
 )
 from .errors import DomainError
-from .graph import Graph, hat_graph, strip_weights_and_loops, subdivide_loops
+from .graph import Graph, _checked, hat_graph, strip_weights_and_loops, subdivide_loops
 from .oracle import (
     BRUTE_RANK_MAX_DEGREE,
     BRUTE_RANK_MAX_VERTICES,
@@ -106,7 +106,7 @@ def random_connected_graph(
 ) -> Graph:
     """A uniform-ish connected multigraph: a random spanning tree plus a few
     extra edges and loops, with sparse random weights."""
-    n = rng.randint(1, max_vertices)
+    n = _checked(rng, "random_connected_graph", random.Random).randint(1, max_vertices)
     ids = [f"v{i}" for i in range(n)]
     edges: list[tuple[str, str]] = []
     for i in range(1, n):
@@ -130,9 +130,9 @@ def random_connected_graph(
 
 
 def random_divisor(rng: random.Random, graph: Graph, max_value: int) -> Divisor:
-    return Divisor(
-        graph, [rng.randint(-max_value, max_value) for _ in graph.vertex_ids]
-    )
+    _checked(rng, "random_divisor", random.Random)
+    n = _checked(graph, "random_divisor", Graph).vertex_count
+    return Divisor(graph, [rng.randint(-max_value, max_value) for _ in range(n)])
 
 
 def _search_cost(hat_vertices: int, degree: int, genus: int) -> int:
@@ -316,4 +316,4 @@ class _Sweep:
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run the full property battery over seeded random instances."""
-    return _Sweep(config).run()
+    return _Sweep(_checked(config, "run_sweep", SweepConfig)).run()

@@ -1,3 +1,4 @@
+import random
 import types
 
 import pytest
@@ -525,6 +526,12 @@ def test_vertex_map_add_refuses_other_operands(dhar5, make_left, make_right, err
     assert str(info.value) == message
 
 
+def test_divisor_sub_refuses_another_operand(dhar5):
+    with pytest.raises(TypeError) as info:
+        cf.Divisor(dhar5.graph) - 1
+    assert str(info.value) == "unsupported operand type(s) for -: 'Divisor' and 'int'"
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -583,9 +590,11 @@ def test_calls_refuse_a_divisor_argument_of_another_type(name):
 
 
 # every public call that takes a graph, a hat embedding, a divisor or script
-# to render, a text to parse, the values of a new divisor or script, or the
-# vertex and edge collections of a new graph, each handed a value of another
-# type there, with the refusal it must raise
+# to render, a text to parse, the values of a new divisor or script, the
+# vertex and edge collections of a new graph, a vertex set, a random
+# generator, a sweep configuration or a fixture name, each handed a value of
+# another type there, with the refusal it must raise; a string is no
+# collection of ids, specs or values
 _WRONG_GRAPH_CALLS = {
     "fire_set": (lambda d: cf.fire_set("x", []), "fire_set expects a Graph, got str"),
     "hat_graph": (lambda d: cf.hat_graph("x"), "hat_graph expects a Graph, got str"),
@@ -607,6 +616,31 @@ _WRONG_GRAPH_CALLS = {
     "parse_divisor text": (lambda d: cf.parse_divisor(5, d.graph), "parse_divisor expects a str, got int"),
     "Divisor values": (lambda d: cf.Divisor(d.graph, 5), "Divisor expects an Iterable, got int"),
     "FiringScript values": (lambda d: cf.FiringScript(d.graph, 5), "FiringScript expects an Iterable, got int"),
+    "Graph vertices string": (lambda d: cf.Graph("ab"), "Graph expects an Iterable, got str"),
+    "Graph edges string": (lambda d: cf.Graph(["a", "b"], "ab"), "Graph expects an Iterable, got str"),
+    "Divisor values string": (lambda d: cf.Divisor(d.graph, "12"), "Divisor expects an Iterable, got str"),
+    "with_extra_edges": (lambda d: d.graph.with_extra_edges(5), "with_extra_edges expects an Iterable, got int"),
+    "with_extra_edges string": (
+        lambda d: d.graph.with_extra_edges("ab"),
+        "with_extra_edges expects an Iterable, got str",
+    ),
+    "fire_set vertices": (lambda d: cf.fire_set(d.graph, 5), "fire_set expects an Iterable, got int"),
+    "intersection": (lambda d: d.graph.intersection(5, ["a"]), "intersection expects an Iterable, got int"),
+    "intersection string": (
+        lambda d: d.graph.intersection(["a"], "bc"),
+        "intersection expects an Iterable, got str",
+    ),
+    "random_connected_graph": (
+        lambda d: cf.random_connected_graph("x", 3, 3, 0),
+        "random_connected_graph expects a Random, got str",
+    ),
+    "random_divisor": (
+        lambda d: cf.random_divisor(random.Random(1), "x", 3),
+        "random_divisor expects a Graph, got str",
+    ),
+    "random_divisor rng": (lambda d: cf.random_divisor("x", d.graph, 3), "random_divisor expects a Random, got str"),
+    "run_sweep": (lambda d: cf.run_sweep("x"), "run_sweep expects a SweepConfig, got str"),
+    "load_fixture": (lambda d: cf.load_fixture(5), "load_fixture expects a str, got int"),
 }
 
 

@@ -549,8 +549,6 @@ def test_hat_target_is_plain_with_degree_two_midpoints(g):
         (["a", "b"], [{("a", "b")}], "bad edge spec {('a', 'b')}; expected (a, b) or (a, b, mult)"),
         ([{"a": 1, "b": 2}], [], "bad vertex spec {'a': 1, 'b': 2}; expected id or (id, weight)"),
         ([{("a", 1)}], [], "bad vertex spec {('a', 1)}; expected id or (id, weight)"),
-        # nor is a vertex collection read as its letters, as a vertex set is not
-        ("ab", [], "expected a collection of vertex ids, got the string 'ab'"),
     ],
 )
 def test_graph_input_checks(vertices, edges, message):
@@ -578,14 +576,28 @@ def test_graph_takes_list_vertex_specs_and_namedtuple_specs():
 def test_vertex_sets_refuse_a_string():
     # "ab" is not the vertex set {"a", "b"}, as it is not the edge ("a", "b")
     g = cf.Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
-    message = "expected a collection of vertex ids, got the string 'ab'"
-    for call in (lambda: g.intersection("ab", "c"), lambda: g.intersection({"c"}, "ab"),
-                 lambda: cf.fire_set(g, "ab")):
-        with pytest.raises(cf.GraphError) as info:
+    for call, name in ((lambda: g.intersection("ab", "c"), "intersection"),
+                       (lambda: g.intersection({"c"}, "ab"), "intersection"),
+                       (lambda: cf.fire_set(g, "ab"), "fire_set")):
+        with pytest.raises(cf.DomainError) as info:
             call()
-        assert str(info.value) == message
+        assert str(info.value) == f"{name} expects an Iterable, got str"
     assert g.intersection({"a", "b"}, {"c"}) == 2
     assert cf.fire_set(g, ["a", "b"]) == cf.Divisor(g, {"a": -1, "b": -1, "c": 2})
+
+
+def test_index_refuses_an_unhashable_id():
+    # a list is no vertex id: it is unknown, as a string that names no vertex is
+    g = cf.Graph(["a", "b"], [("a", "b")])
+    for call in (lambda: g.index([1]), lambda: cf.reduce_divisor(cf.Divisor(g), [1])):
+        with pytest.raises(cf.GraphError) as info:
+            call()
+        assert str(info.value) == "unknown vertex id [1]"
+
+
+def test_graph_equals_no_other_type():
+    g = cf.Graph(["a"])
+    assert not g == 5 and g != 5
 
 
 def test_graph_repr(dhar5):
