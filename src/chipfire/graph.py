@@ -161,7 +161,10 @@ class Graph:
         return frozenset(map(self.index, _checked(vertices, operation, Iterable)))
 
     def has_vertex(self, vertex: str) -> bool:
-        return vertex in self._index
+        try:
+            return vertex in self._index
+        except TypeError:  # an unhashable value is no vertex id, as in index
+            return False
 
     def weight(self, vertex: str) -> int:
         return self._weights[self.index(vertex)]

@@ -16,6 +16,21 @@ def weighted_binary():
     return cf.load_fixture("weighted-binary")
 
 
+def recorded(monkeypatch, owner, name):
+    """The calls made from now on to ``owner.name``, which still runs: one
+    ``(args, kwargs)`` pair each, the positional arguments and the keyword
+    arguments (an empty dict when there are none)."""
+    calls = []
+    function = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 def binary_graph(genus):
     return cf.Graph(["v1", "v2"], [("v1", "v2", genus + 1)])
 

@@ -540,6 +540,7 @@ def test_divisor_sub_refuses_another_operand(dhar5):
         (lambda g: cf.Divisor("dhar5", (0,) * 5), "Divisor expects a Graph, got str"),
         (lambda g: cf.FiringScript(None), "FiringScript expects a Graph, got NoneType"),
     ],
+    ids=["Divisor too few values", "FiringScript too many values", "Divisor no graph", "FiringScript no graph"],
 )
 def test_vertex_map_input_checks(dhar5, make, message):
     with pytest.raises(cf.DomainError) as info:

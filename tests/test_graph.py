@@ -550,6 +550,12 @@ def test_hat_target_is_plain_with_degree_two_midpoints(g):
         ([{"a": 1, "b": 2}], [], "bad vertex spec {'a': 1, 'b': 2}; expected id or (id, weight)"),
         ([{("a", 1)}], [], "bad vertex spec {('a', 1)}; expected id or (id, weight)"),
     ],
+    ids=[
+        "vertex triple", "vertex int", "vertex empty id", "vertex int id", "edge single", "edge quadruple",
+        "edge unknown b", "edge unknown a", "edge unknown both", "edge unknown both zero mult",
+        "edge string ab", "edge string abc", "edge int", "edge None", "edge dict", "edge set",
+        "vertex dict", "vertex set",
+    ],
 )
 def test_graph_input_checks(vertices, edges, message):
     with pytest.raises(cf.GraphError) as info:
@@ -593,6 +599,7 @@ def test_index_refuses_an_unhashable_id():
         with pytest.raises(cf.GraphError) as info:
             call()
         assert str(info.value) == "unknown vertex id [1]"
+    assert g.has_vertex([1]) is False
 
 
 def test_graph_equals_no_other_type():

@@ -4,14 +4,12 @@ import importlib
 import math
 import random
 import time
-from collections import Counter
 
 import pytest
 
 import chipfire as cf
 from chipfire.oracle import BRUTE_RANK_MAX_DEGREE, BRUTE_RANK_MAX_VERTICES, _solve_reduced
-from chipfire.reduction import _burn
-from conftest import binary_graph, cycle_graph, grid_graph, seeded_instances
+from conftest import binary_graph, cycle_graph, grid_graph, recorded, seeded_instances
 
 
 # -- rank_geq -----------------------------------------------------------------
@@ -60,15 +58,7 @@ def test_rank_geq_certifies_a_zero_witness(dhar5, monkeypatch):
 def test_rank_minus_one_reduces_once(dhar5, monkeypatch):
     # a rank -1 witness is the zero divisor, whose check is the search's own
     # reduction, so it is not reduced a second time
-    rank_module = importlib.import_module("chipfire.rank")
-    reduce_indices = rank_module._reduce_indices
-    calls = []
-
-    def counting(*args):
-        calls.append(args[2])
-        return reduce_indices(*args)
-
-    monkeypatch.setattr(rank_module, "_reduce_indices", counting)
+    calls = recorded(monkeypatch, importlib.import_module("chipfire.rank"), "_reduce_indices")
     negative = cf.Divisor(dhar5.graph, {"v0": -1})
     for exhaustive in (False, True):
         calls.clear()
@@ -96,15 +86,7 @@ def test_rank_geq_past_the_degree_takes_no_class_step(dhar5, monkeypatch):
     # for k > deg D every class of level k has negative degree, so the
     # lex-first candidate, all k chips on the last vertex, fails with no
     # class step, however many candidates the level has
-    rank_module = importlib.import_module("chipfire.rank")
-    child = rank_module._child
-    steps = []
-
-    def counting(*args):
-        steps.append(args)
-        return child(*args)
-
-    monkeypatch.setattr(rank_module, "_child", counting)
+    steps = recorded(monkeypatch, importlib.import_module("chipfire.rank"), "_child")
     path = cf.Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     for divisor, k in ((dhar5.divisors["example"], 12), (cf.Divisor(path), 1), (cf.Divisor(path), 40)):
         assert 0 <= divisor.degree < k
@@ -166,14 +148,7 @@ def test_rank_runs_no_graph_constructor_on_weighted_looped_input(monkeypatch):
     # the validating constructor would be counted here
     g = cf.Graph([("a", 2), "b", ("c", 1)], [("a", "b"), ("b", "c", 2), ("a", "a"), ("c", "c", 2)])
     divisors = [cf.Divisor(g, v) for v in ((0, 1, 0), (3, 1, 0), (2, 2, 2), (-3, 0, 1), (9, 9, 9))]
-    calls = []
-    constructor = cf.Graph.__init__
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        constructor(self, *args, **kwargs)
-
-    monkeypatch.setattr(cf.Graph, "__init__", counting)
+    calls = recorded(monkeypatch, cf.Graph, "__init__")
     methods = {cf.rank(d).method for d in divisors}
     methods |= {cf.rank(d, exhaustive=True).method for d in divisors}
     assert methods == {"exhaustive", "rank-explicit", "reduced-negative", "riemann-roch"}
@@ -220,15 +195,7 @@ def test_exhaustive_rank_on_one_vertex_steps_once_per_level(monkeypatch):
     # nothing on one vertex fires, so each level's one class is the values
     # minus the level and the search takes no class step at all, not the
     # N(N+1)/2 of stepping down from the values at every level
-    rank_module = importlib.import_module("chipfire.rank")
-    child = rank_module._child
-    steps = []
-
-    def counting(*args):
-        steps.append(args[4])
-        return child(*args)
-
-    monkeypatch.setattr(rank_module, "_child", counting)
+    steps = recorded(monkeypatch, importlib.import_module("chipfire.rank"), "_child")
     n = 4000
     d = cf.Divisor(cf.Graph(["a"]), (n,))
     start = time.perf_counter()
@@ -374,8 +341,12 @@ def _lex_rank(divisor):
 
 
 def test_rank_matches_lex_scan_and_brute_rank():
+    # genus 3 and degree 8, so rank 5 with witness v1=3,v2=3; the search
+    # decides level 6 by expanding level 5's classes, and an expansion that
+    # skipped the last vertex would miss the failing class (rank 6, v2=7)
+    expanded = cf.Divisor(cf.Graph(["v0", "v1", "v2"], [("v0", "v1"), ("v0", "v2", 4)]), (3, -1, 6))
     brute_checked = 0
-    for divisor in _banded_instances(501, 40):
+    for divisor in [*_banded_instances(501, 40), expanded]:
         expected = _lex_rank(divisor)
         for exhaustive in (False, True):
             result = cf.rank(divisor, exhaustive=exhaustive)
@@ -588,24 +559,17 @@ def test_cached_hat_leaves_no_cyclic_garbage(monkeypatch):
     # ranked and dropped, or the graphs of a sweep, are freed by reference
     # counting alone; the test above keeps its graphs alive and would not
     # see a cycle through the kept hat
-    graph_module = importlib.import_module("chipfire.graph")
-    hang_fresh = graph_module._hang_fresh
-    builds = Counter()
-
-    def counting(*args):
-        builds["_hang_fresh"] += 1
-        return hang_fresh(*args)
-
-    monkeypatch.setattr(graph_module, "_hang_fresh", counting)
+    builds = recorded(monkeypatch, importlib.import_module("chipfire.graph"), "_hang_fresh")
     gc.collect()
     gc.disable()
     try:
         _rank_and_drop_a_weighted_graph()
-        assert builds["_hang_fresh"] == 1
+        assert len(builds) == 1
+        builds.clear()  # the recorded calls hold the source graph
         assert gc.collect() == 0
-        builds.clear()
         assert cf.run_sweep(cf.SweepConfig(trials=3, seed=5)).ok
-        assert builds["_hang_fresh"] > 0  # a weighted or looped graph was hatted
+        assert len(builds) > 0  # a weighted or looped graph was hatted
+        builds.clear()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -614,15 +578,7 @@ def test_cached_hat_leaves_no_cyclic_garbage(monkeypatch):
 def test_rank_builds_no_hat_for_a_weightless_loopless_graph(monkeypatch):
     # a weightless loopless graph is its own hat, so rank() never asks for
     # one; a weighted or looped graph builds its hat once, on its first rank
-    rank_module = importlib.import_module("chipfire.rank")
-    hat_graph = rank_module.hat_graph
-    calls = []
-
-    def counting(graph):
-        calls.append(graph)
-        return hat_graph(graph)
-
-    monkeypatch.setattr(rank_module, "hat_graph", counting)
+    calls = recorded(monkeypatch, importlib.import_module("chipfire.rank"), "hat_graph")
     plain = cf.Graph(["a", "b", "c"], [("a", "b", 2), ("b", "c"), ("a", "c")])
     methods = set()
     for values in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (-1, 0, 0), (3, 3, 3), (0, 1, -1)):
@@ -636,7 +592,7 @@ def test_rank_builds_no_hat_for_a_weightless_loopless_graph(monkeypatch):
     ):
         for values in ((0, 0), (1, 0), (-1, 0), (2, 2)):
             cf.rank(cf.Divisor(graph, values))
-        assert calls == [graph]
+        assert calls == [((graph,), {})]
         calls.clear()
 
 
@@ -647,29 +603,24 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     # twice, or one it does not need, changes them; so are the searches
     # built, one per call and one more for a Riemann-Roch dual
     rank_module = importlib.import_module("chipfire.rank")
-    calls = Counter()
+    calls = {name: recorded(monkeypatch, rank_module, name) for name in ("_reduce_indices", "_borrow", "_child")}
+    calls["_Search"] = recorded(monkeypatch, rank_module._Search, "__init__")
 
-    def counted(owner, name, key):
-        function = getattr(owner, name)
-
-        def counting(*args):
-            calls[key] += 1
-            return function(*args)
-
-        monkeypatch.setattr(owner, name, counting)
-
-    for name in ("_reduce_indices", "_borrow", "_child"):
-        counted(rank_module, name, name)
-    counted(rank_module._Search, "__init__", "_Search")
+    def counted():
+        """How many times each recorded function that ran was called since
+        the last count, which starts the next one."""
+        counts = {name: len(made) for name, made in calls.items() if made}
+        for made in calls.values():
+            made.clear()
+        return counts
 
     all_ones = cf.Divisor(grid_graph(3, 4), (1,) * 12)
     counts = []
     for _ in range(2):
-        calls.clear()
         result = cf.rank(all_ones, exhaustive=True)
         assert result.rank == 6
         assert result.witness.nonzero_items() == (("g2_2", 7),)
-        counts.append(dict(calls))
+        counts.append(counted())
     # 18,475 reductions when every candidate was reduced from scratch, and
     # 6,765 borrows when a step was keyed by its whole class: a level past
     # degree g repeats the classes of the one before off the base, with the
@@ -679,9 +630,8 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
     # same counts again show that nothing carried over from the first search
     assert counts[0] == {"_Search": 1, "_reduce_indices": 2, "_child": 27197, "_borrow": 3833}
     assert counts[1] == counts[0]
-    calls.clear()
     assert cf.rank_geq(all_ones, 7) == (False, result.witness)
-    assert calls["_Search"] == 1
+    assert counted()["_Search"] == 1
 
     # genus 6 with a weight and a loop: K - D ranks first, on the hat graph,
     # and D's search starts one level above the rank that gives
@@ -689,11 +639,10 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
         [("a", 2), "b", "c", "d"],
         [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"), ("b", "b")],
     )
-    calls.clear()
     result = cf.rank(cf.Divisor(weighted, (2, 2, 1, 1)))
     assert (result.rank, result.method) == (2, "riemann-roch")
     assert result.witness.nonzero_items() == (("a.z1", 1), ("a.z2", 1), ("b.z1", 1))
-    assert calls == {"_Search": 2, "_reduce_indices": 3, "_child": 25, "_borrow": 14}
+    assert counted() == {"_Search": 2, "_reduce_indices": 3, "_child": 25, "_borrow": 14}
 
     # above degree 2g - 2, K - D has negative degree, so its search fails
     # level 0 on the reduction it was built with and takes no class step
@@ -702,24 +651,22 @@ def test_exhaustive_rank_reduces_each_class_step_once_per_search(monkeypatch):
 
     def recording(self, method, k):
         found = first_failing(self, method, k)
-        steps_at_return.append(calls["_child"])
+        steps_at_return.append(len(calls["_child"]))
         return found
 
     monkeypatch.setattr(rank_module._Search, "first_failing", recording)
-    calls.clear()
     result = cf.rank(cf.Divisor(weighted, (6, 5, 2, -1)))  # degree 12, not effective
     assert (result.rank, result.method) == (6, "riemann-roch")
     assert result.witness.nonzero_items() == (("a.z1", 1), ("a.z2", 3), ("b.z1", 3))
-    assert calls == {"_Search": 2, "_reduce_indices": 3, "_child": 57, "_borrow": 21}
+    assert counted() == {"_Search": 2, "_reduce_indices": 3, "_child": 57, "_borrow": 21}
     assert steps_at_return == [0, 57]  # the dual's search, then D's from level 7
 
     # a class with no effective representative fails level 0 on the search's
     # own reduction, whether or not rank calls it reduced-negative
     counts = []
     for exhaustive in (False, True):
-        calls.clear()
         result = cf.rank(cf.Divisor(weighted, (3, -2, 0, 0)), exhaustive=exhaustive)
-        counts.append((result.rank, result.method, dict(calls)))
+        counts.append((result.rank, result.method, counted()))
     assert counts == [
         (-1, "reduced-negative", {"_Search": 1, "_reduce_indices": 1}),
         (-1, "exhaustive", {"_Search": 1, "_reduce_indices": 1}),
@@ -820,17 +767,11 @@ def test_rank_explicit_vertex_stops_at_first_hit(monkeypatch):
     # qualifies; the first one must be found with a single burn
     n = 40
     g = cf.Graph([f"p{i}" for i in range(n)], [(f"p{i}", f"p{i + 1}") for i in range(n - 1)])
-    calls = []
-
-    def counting(graph, values, base):
-        calls.append(base)
-        return _burn(graph, values, base)
-
     # the package re-exports the rank() function under the module's name
-    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_burn", counting)
+    calls = recorded(monkeypatch, importlib.import_module("chipfire.rank"), "_burn")
     zero = cf.Divisor(g)
     assert cf.rank_explicit_vertex(zero) == "p0"
-    assert calls == [0]
+    assert [args[2] for args, _ in calls] == [0]
     calls.clear()
     assert cf.rank_explicit_vertices(zero) == g.vertex_ids
     assert len(calls) == n
@@ -887,13 +828,7 @@ def _clifford_range_divisors(seed, count):
 def test_rank_explicit_chip_bound_skips_only_unreduced_vertices(monkeypatch):
     # a divisor reduced at v has at most g' (the loopless genus) chips off v,
     # so skipping a vertex with fewer than deg - g' chips may not drop one
-    burns = []
-
-    def counting(graph, values, base):
-        burns.append(base)
-        return _burn(graph, values, base)
-
-    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_burn", counting)
+    burns = recorded(monkeypatch, importlib.import_module("chipfire.rank"), "_burn")
     effective = [d for _, _, d in seeded_instances(41, 300) if d.is_effective]
     effective += _clifford_range_divisors(42, 300)
     reference_burns = 0
@@ -909,9 +844,7 @@ def test_rank_explicit_chip_bound_skips_only_unreduced_vertices(monkeypatch):
 def test_rank_explicit_chip_bound_can_rule_out_every_candidate(monkeypatch):
     # on a cycle g' = 1; every vertex of least capacity (value 0) holds fewer
     # than deg - g' = 1 chips, so none is burned, and none qualifies
-    burns = []
-    rank_module = importlib.import_module("chipfire.rank")
-    monkeypatch.setattr(rank_module, "_burn", lambda *args: burns.append(args) or _burn(*args))
+    burns = recorded(monkeypatch, importlib.import_module("chipfire.rank"), "_burn")
     g = cycle_graph(5)
     d = cf.Divisor(g, (1, 1, 0, 0, 0))
     assert _explicit_by_definition(d) == ()
@@ -1040,18 +973,10 @@ def test_rr_residual_dhar5(dhar5):
 def test_rr_residual_ranks_both_sides_exhaustively(dhar5, weighted_binary, monkeypatch):
     # the residual checks Riemann-Roch, so the Riemann-Roch route must not
     # answer either side
-    module = importlib.import_module("chipfire.rank")
-    original = module.rank
-    calls = []
-
-    def recording(divisor, **kwargs):
-        calls.append(kwargs.get("exhaustive", False))
-        return original(divisor, **kwargs)
-
-    monkeypatch.setattr(module, "rank", recording)
+    calls = recorded(monkeypatch, importlib.import_module("chipfire.rank"), "rank")
     for d in (dhar5.divisors["example"], weighted_binary.divisors["example"]):
         assert cf.riemann_roch_residual(d) == 0
-    assert calls == [True] * 4
+    assert [kwargs.get("exhaustive", False) for _, kwargs in calls] == [True] * 4
 
 
 def test_rr_residual_binary_sweep():

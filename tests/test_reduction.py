@@ -15,6 +15,7 @@ from conftest import (
     cycle_graph,
     graph_with_divisor,
     grid_graph,
+    recorded,
     seeded_instances,
     tadpole_graph,
 )
@@ -298,13 +299,7 @@ def test_halving_waits_for_the_first_round(monkeypatch):
     # 4 chips off the base reach the bound 2g' + n - 1 = 3, but one round
     # settles them: burn, fire twice, burn.  Halving before that round
     # would take two burns per bit
-    burns = []
-
-    def counting(graph, values, base):
-        burns.append(base)
-        return _burn(graph, values, base)
-
-    monkeypatch.setattr(chipfire.reduction, "_burn", counting)
+    burns = recorded(monkeypatch, chipfire.reduction, "_burn")
     reduced, script = cf.reduce_divisor(cf.Divisor(binary_graph(1), (-1, 4)), "v1")
     assert reduced.values == (3, 0)
     assert script.levels == (0, 2)
@@ -344,21 +339,12 @@ def _fire_every_unburned(graph, values, room, members, interior_rounds):
 def _counted_reduction(monkeypatch, fire, graph, values, base):
     """``_reduce_indices`` with ``fire`` as its firing kernel: its values,
     unnormalized levels and the number of burns and firings."""
-    calls = {"burn": 0, "fire": 0}
-
-    def burn(*args):
-        calls["burn"] += 1
-        return _burn(*args)
-
-    def counted_fire(*args):
-        calls["fire"] += 1
-        return fire(*args)
-
-    monkeypatch.setattr(chipfire.reduction, "_burn", burn)
-    monkeypatch.setattr(chipfire.reduction, "_fire_indices", counted_fire)
+    monkeypatch.setattr(chipfire.reduction, "_fire_indices", fire)
+    burns = recorded(monkeypatch, chipfire.reduction, "_burn")
+    fires = recorded(monkeypatch, chipfire.reduction, "_fire_indices")
     values, levels = chipfire.reduction._reduce_indices(graph, list(values), base)
     monkeypatch.undo()
-    return values, levels, calls
+    return values, levels, {"burn": len(burns), "fire": len(fires)}
 
 
 def test_firing_the_cut_is_the_round_of_the_whole_unburned_set(monkeypatch):
