@@ -20,6 +20,21 @@ VertexSpec = Union[str, tuple, list]
 EdgeSpec = Union[tuple, list]
 
 _second = operator.itemgetter(1)
+# the pairs of neighbours below 64 and multiplicities 1-8, built once and never
+# changed: rows take their pairs from here where they fit, so graphs share them
+_PAIRS = {pair: pair for pair in [(w, m) for w in range(64) for m in range(1, 9)]}
+
+
+def _shared(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """A row of pairs sorted by neighbour, each taken from ``_PAIRS`` where it fits."""
+    if pairs and pairs[0][0] >= 64:  # the first neighbour is past the table, so all are
+        return tuple(pairs)
+    return tuple([_PAIRS.get(pair, pair) for pair in pairs])
+
+
+def _rows(adj: Iterable[dict[int, int]]) -> list[tuple[tuple[int, int], ...]]:
+    """Each vertex's ``{neighbour: multiplicity}`` dict as its row, sorted by neighbour."""
+    return [_shared(sorted(row.items())) for row in adj]
 
 
 def _checked(value, operation: str, kind):
@@ -49,7 +64,7 @@ class Graph:
 
     Per-graph tables are computed once at construction, which is safe
     because graphs are immutable: one adjacency table (for each vertex, its
-    ``(neighbour, multiplicity)`` pairs sorted by neighbour index, loops
+    shared ``(neighbour, multiplicity)`` pairs sorted by neighbour, loops
     excluded), the loop counts, the vertex degrees and the loopless genus.
     """
 
@@ -114,7 +129,7 @@ class Graph:
                 adj[i][j] = adj[i].get(j, 0) + mult
                 adj[j][i] = adj[j].get(i, 0) + mult
 
-        self._set_tables(ids, weights, loops, [tuple(sorted(row.items())) for row in adj], index)
+        self._set_tables(ids, weights, loops, _rows(adj), index)
 
     def _set_tables(self, ids, weights, loops, adj_items, index=None) -> None:
         """Store valid tables and derive the rest: every graph ends here."""
@@ -364,8 +379,8 @@ def _hang_fresh(
                 if f"{v}.z{k}" not in graph._index:
                     fresh.append(f"{v}.z{k}")
             added[v] = tuple(fresh)
-            rows[i] += tuple((z, 2) for z in range(len(ids), len(ids) + count))
-            rows.extend([((i, 2),)] * count)
+            rows[i] += _shared([(z, 2) for z in range(len(ids), len(ids) + count)])
+            rows.extend([_shared([(i, 2)])] * count)
             ids.extend(fresh)
     derived = Graph.__new__(Graph)
     derived._set_tables(ids, [*weights] + [0] * (len(ids) - len(weights)), [0] * len(ids), rows)

@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .divisor import Divisor, FiringScript
 from .errors import ParseError, quoted
-from .graph import Graph, _checked
+from .graph import Graph, _checked, _rows
 
 _ID = re.compile(r"[A-Za-z0-9_-]+\Z")
 _INT = re.compile(r"[+-]?[0-9]+\Z")
@@ -118,7 +118,7 @@ def parse_graph(text: str) -> GraphDocument:
         else:
             raise ParseError(f"unknown directive {quoted(kind)}", lineno)
     graph = Graph.__new__(Graph)
-    graph._set_tables(ids, weights, loops, [tuple(sorted(row.items())) for row in adj], index)
+    graph._set_tables(ids, weights, loops, _rows(adj), index)
     return GraphDocument(graph=graph, vertex_lines=vertex_lines)
 
 

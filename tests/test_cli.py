@@ -86,7 +86,20 @@ def test_roundtrip_holds_on_grammar_ids_and_fails_on_derived_ids():
 
 def test_parsed_tables_match_the_validating_constructor():
     # the parser builds a graph's tables itself; on texts with weights,
-    # loops, repeated edges and multiplicities they are Graph's own
+    # loops, repeated edges and multiplicities they are Graph's own, and
+    # both rows take each pair with neighbour below 64 and multiplicity 1-8
+    # from one shared table; a 70-cycle with a 9-fold edge has pairs outside it
+    def check(parsed, built):
+        assert parsed == built and hash(parsed) == hash(built)
+        for table in ("_adj_items", "_index", "_degrees", "_loopless_genus"):
+            assert getattr(parsed, table) == getattr(built, table)
+        for ours, theirs in zip(parsed._adj_items, built._adj_items):
+            for pair, other in zip(ours, theirs):
+                assert pair is other or not (pair[0] < 64 and pair[1] <= 8), pair
+
+    big = cycle_graph(70).with_extra_edges([("v3", "v66", 9)])
+    assert {(3, 9), (68, 1)} <= {pair for row in big._adj_items for pair in row}
+    check(cf.parse_graph(cf.render_graph(big)).graph, big)
     rng = random.Random(19)
     for _ in range(300):
         ids = rng.sample(["a", "b_2", "x-y", "v10", "v9", "Q", "z0", "m"], rng.randint(1, 8))
@@ -102,11 +115,7 @@ def test_parsed_tables_match_the_validating_constructor():
             lines.append(f"e {a} {b} {mult}" if mult > 1 or rng.random() < 0.3 else f"e {a} {b}")
             if rng.random() < 0.2:
                 lines.append("")
-        parsed = cf.parse_graph("\n".join(lines) + "\n").graph
-        built = cf.Graph(vertices, edges)
-        assert parsed == built and hash(parsed) == hash(built)
-        for table in ("_adj_items", "_index", "_degrees", "_loopless_genus"):
-            assert getattr(parsed, table) == getattr(built, table)
+        check(cf.parse_graph("\n".join(lines) + "\n").graph, cf.Graph(vertices, edges))
 
 
 def test_parse_edge_before_vertex_reports_line_and_token():
@@ -127,6 +136,14 @@ def test_parse_edge_before_vertex_reports_line_and_token():
         ("v a\ne x a.c\n", 2, "edge endpoint 'x' is not declared"),
         ("v a\ne a.c x\n", 2, "bad vertex id 'a.c'"),
     ],
+    ids=[
+        "b bad id",
+        "a bad id",
+        "b undeclared",
+        "a undeclared",
+        "a undeclared b bad id",
+        "a bad id b undeclared",
+    ],
 )
 def test_parse_edge_endpoint_errors_are_pinned(text, line, message):
     with pytest.raises(cf.ParseError) as info:
@@ -141,6 +158,7 @@ def test_parse_edge_endpoint_errors_are_pinned(text, line, message):
         ("v a\ne a\n", "line 2: expected 'e <id1> <id2> [<mult>]', got 'e a'"),
         ("v a\nv b\ne a b 1 2\n", "line 3: expected 'e <id1> <id2> [<mult>]', got 'e a b 1 2'"),
     ],
+    ids=["too few tokens", "too many tokens"],
 )
 def test_parse_edge_token_count_is_checked(text, message):
     with pytest.raises(cf.ParseError) as info:

@@ -391,9 +391,15 @@ def test_derived_graphs_from_tables_equal_the_validated_rebuild():
             for v, count in zip(g.vertex_ids, counts):
                 fresh = added[v]
                 assert len(fresh) == count
+                i = derived.index(v)
                 for z in fresh:
                     assert z.startswith(f"{v}.z") and not g.has_vertex(z)
-                    assert derived._adj_items[derived.index(z)] == ((derived.index(v), 2),)
+                    k = derived.index(z)
+                    assert derived._adj_items[k] == ((i, 2),)
+                    # both double-edge pairs are the shared ones the constructor takes
+                    assert derived._adj_items[k][0] is rebuilt._adj_items[k][0]
+                    pair = next(p for p in derived._adj_items[i] if p[0] == k)
+                    assert pair is next(p for p in rebuilt._adj_items[i] if p[0] == k)
                 if fresh and g.has_vertex(f"{v}.z1"):
                     skipped_taken_name = True
     assert skipped_taken_name
